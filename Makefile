@@ -19,13 +19,14 @@ race:
 	$(GO) test -race ./...
 
 # Short native-fuzzing pass over the untrusted-input surfaces (trace
-# logs, law construction, checkpoint snapshots, and the run engine's
-# resume path); run with a longer FUZZTIME to dig deeper (the nightly
-# workflow uses 10m per target).
+# logs, law construction and truncated-law sampling, checkpoint
+# snapshots, and the run engine's resume path); run with a longer
+# FUZZTIME to dig deeper (the nightly workflow uses 10m per target).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceFit -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run='^$$' -fuzz=FuzzTruncate -fuzztime=$(FUZZTIME) ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzTruncatedSample -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzTryEmpirical -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/ckpt/
 	$(GO) test -run='^$$' -fuzz=FuzzResumeSnapshot -fuzztime=$(FUZZTIME) ./internal/engine/

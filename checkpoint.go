@@ -3,10 +3,12 @@ package reskit
 import (
 	"context"
 	"os"
+	"strconv"
 	"time"
 
 	"reskit/internal/atomicio"
 	"reskit/internal/ckpt"
+	"reskit/internal/dist"
 	"reskit/internal/sim"
 )
 
@@ -82,7 +84,15 @@ func NewRunCheckpointer(path string, interval time.Duration, state *RunState) *R
 // ConfigFingerprint hashes an ordered list of configuration facets into
 // the fingerprint stored in snapshots, so resuming under a different
 // configuration is detected instead of silently producing wrong numbers.
-func ConfigFingerprint(parts ...string) uint64 { return ckpt.Fingerprint(parts...) }
+// The sampler version (dist.SamplerVersion) is hashed ahead of the parts:
+// blocks drawn by another sampler are another configuration, so a
+// snapshot or distributed worker from before a sampler change is refused.
+func ConfigFingerprint(parts ...string) uint64 {
+	return ckpt.Fingerprint(append([]string{samplerPart}, parts...)...)
+}
+
+// samplerPart is the fingerprint facet naming the sampler version.
+var samplerPart = "sampler=v" + strconv.Itoa(dist.SamplerVersion)
 
 // MonteCarloCheckpointed is MonteCarloContext with durable run state:
 // blocks already in ck are restored instead of re-run, fresh blocks are

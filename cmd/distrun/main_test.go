@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"reskit"
+	"reskit/internal/ckpt"
 	"reskit/internal/engine"
 	"reskit/internal/lawspec"
 	"reskit/internal/sim"
@@ -24,9 +25,8 @@ var campaignArgs = []string{
 	"-totalwork", "120", "-trials", "1280", "-seed", "7",
 }
 
-// localAggregate computes the reference aggregate through the local
-// engine, exactly as simulate's campaign mode would.
-func localAggregate(t *testing.T) sim.CampaignAggregate {
+// campaignGrid builds the job grid of campaignArgs, as the CLI does.
+func campaignGrid(t *testing.T) sweepGrid {
 	t.Helper()
 	law, err := lawspec.Parse("uniform:1,3")
 	if err != nil {
@@ -37,9 +37,15 @@ func localAggregate(t *testing.T) sim.CampaignAggregate {
 		t.Fatal(err)
 	}
 	const trials = 1280
-	n := sim.NumCampaignBlocks(trials)
-	grid := sweepGrid{cfgs: []reskit.CampaignConfig{cfg}, trials: trials, numBlocks: n}
-	jobs := make([]engine.Job, n)
+	return sweepGrid{cfgs: []reskit.CampaignConfig{cfg}, trials: trials, numBlocks: sim.NumCampaignBlocks(trials)}
+}
+
+// localAggregate computes the reference aggregate through the local
+// engine, exactly as simulate's campaign mode would.
+func localAggregate(t *testing.T) sim.CampaignAggregate {
+	t.Helper()
+	grid := campaignGrid(t)
+	jobs := make([]engine.Job, grid.numBlocks)
 	for i := range jobs {
 		jobs[i] = grid.job(i)
 	}
@@ -54,30 +60,22 @@ func localAggregate(t *testing.T) sim.CampaignAggregate {
 	return agg
 }
 
-// TestDistrunEndToEnd drives the real CLI: one coordinator (bound to a
-// random port, address published through -addr-file), two workers, and
-// a final aggregate that must match a local single-process run to the
-// printed digit.
-func TestDistrunEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	addrFile := filepath.Join(dir, "addr")
+// startCoordinator runs the CLI as a loopback coordinator with args
+// (2s lease TTL, 20ms target lease) and returns the address it
+// publishes once listening, its output, and its exit error.
+func startCoordinator(t *testing.T, args ...string) (addr string, out *bytes.Buffer, done <-chan error) {
+	t.Helper()
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	coArgs := append(append([]string{}, args...), "-listen", "127.0.0.1:0", "-addr-file", addrFile,
+		"-lease-ttl", "2s", "-target-lease", "20ms")
+	out = &bytes.Buffer{}
+	errc := make(chan error, 1)
+	go func() { errc <- run(coArgs, out) }()
 
-	var coOut bytes.Buffer
-	coArgs := append([]string{}, campaignArgs...)
-	coArgs = append(coArgs,
-		"-listen", "127.0.0.1:0", "-addr-file", addrFile,
-		"-checkpoint", filepath.Join(dir, "run.ckpt"), "-checkpoint-interval", "10ms",
-		"-lease-ttl", "2s", "-target-lease", "20ms",
-	)
-	coErr := make(chan error, 1)
-	go func() { coErr <- run(coArgs, &coOut) }()
-
-	// The coordinator publishes its bound address once listening.
-	var addr string
 	deadline := time.Now().Add(10 * time.Second)
 	for addr == "" {
 		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never published its address; output so far:\n%s", coOut.String())
+			t.Fatalf("coordinator never published its address; output so far:\n%s", out.String())
 		}
 		if data, err := os.ReadFile(addrFile); err == nil {
 			addr = strings.TrimSpace(string(data))
@@ -85,6 +83,30 @@ func TestDistrunEndToEnd(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
+	return addr, out, errc
+}
+
+// waitCoordinator waits for the coordinator to finish the run cleanly.
+func waitCoordinator(t *testing.T, out *bytes.Buffer, done <-chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("coordinator: %v\noutput:\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("coordinator never finished; output:\n%s", out.String())
+	}
+}
+
+// TestDistrunEndToEnd drives the real CLI: one coordinator (bound to a
+// random port, address published through -addr-file), two workers, and
+// a final aggregate that must match a local single-process run to the
+// printed digit.
+func TestDistrunEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	addr, coOut, coErr := startCoordinator(t, append(append([]string{}, campaignArgs...),
+		"-checkpoint", filepath.Join(dir, "run.ckpt"), "-checkpoint-interval", "10ms")...)
 
 	var wg sync.WaitGroup
 	werrs := make([]error, 2)
@@ -104,14 +126,7 @@ func TestDistrunEndToEnd(t *testing.T) {
 			t.Errorf("worker %d: %v", w, werr)
 		}
 	}
-	select {
-	case err := <-coErr:
-		if err != nil {
-			t.Fatalf("coordinator: %v\noutput:\n%s", err, coOut.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("coordinator never finished; output:\n%s", coOut.String())
-	}
+	waitCoordinator(t, coOut, coErr)
 
 	// The printed aggregate must carry the local run's exact numbers.
 	want := localAggregate(t)
@@ -140,44 +155,16 @@ func TestDistrunEndToEnd(t *testing.T) {
 // block payload functions, same row-major merge — so the two CLIs are
 // pinned to bit-identical sweep results.
 func TestDistrunFaultSweepMatchesSimulate(t *testing.T) {
-	dir := t.TempDir()
-	addrFile := filepath.Join(dir, "addr")
 	sweepArgs := append([]string{}, campaignArgs...)
 	sweepArgs = append(sweepArgs, "-faultsweep", "30,60")
-
-	var coOut bytes.Buffer
-	coArgs := append([]string{}, sweepArgs...)
-	coArgs = append(coArgs, "-listen", "127.0.0.1:0", "-addr-file", addrFile,
-		"-lease-ttl", "2s", "-target-lease", "20ms")
-	coErr := make(chan error, 1)
-	go func() { coErr <- run(coArgs, &coOut) }()
-
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never published its address; output so far:\n%s", coOut.String())
-		}
-		if data, err := os.ReadFile(addrFile); err == nil {
-			addr = strings.TrimSpace(string(data))
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	addr, coOut, coErr := startCoordinator(t, sweepArgs...)
 	wArgs := append([]string{}, sweepArgs...)
 	wArgs = append(wArgs, "-worker", "http://"+addr, "-workers", "2")
 	var wOut bytes.Buffer
 	if werr := run(wArgs, &wOut); werr != nil {
 		t.Errorf("worker: %v", werr)
 	}
-	select {
-	case err := <-coErr:
-		if err != nil {
-			t.Fatalf("coordinator: %v\noutput:\n%s", err, coOut.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("coordinator never finished; output:\n%s", coOut.String())
-	}
+	waitCoordinator(t, coOut, coErr)
 
 	// Local reference: the identical grid simulate's runFaultSweep lays
 	// out, run through the in-process engine.
@@ -246,6 +233,33 @@ func TestDistrunFlagValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestDistrunRejectsWorkerOfOtherSamplerVersion: a worker built before
+// the sampler version entered the config fingerprint draws a different
+// random stream, so the coordinator must refuse its lease with an error
+// naming the fingerprint, rather than fold its blocks into the run. A
+// worker with the current fingerprint of the same parts then completes
+// the run, which proves the parts below are the ones the CLI hashes.
+func TestDistrunRejectsWorkerOfOtherSamplerVersion(t *testing.T) {
+	addr, coOut, coErr := startCoordinator(t, campaignArgs...)
+
+	grid := campaignGrid(t)
+	parts := []string{"campaign", "R=60", "recovery=0", "task=exp:0.05", "taskdisc=",
+		"ckpt=uniform:1,3", "totalwork=120", "faults=no faults", "trials=1280", "seed=7"}
+	worker := func(name string, fp uint64) error {
+		return runWorker(context.Background(), &bytes.Buffer{}, "http://"+addr, name, grid, grid.numBlocks, 7, fp,
+			engine.Failure{}, 2)
+	}
+
+	err := worker("stale", ckpt.Fingerprint(parts...))
+	if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "sampler version") {
+		t.Errorf("stale worker: err = %v, want a 409 naming the sampler version", err)
+	}
+	if err := worker("current", reskit.ConfigFingerprint(parts...)); err != nil {
+		t.Errorf("current worker: %v", err)
+	}
+	waitCoordinator(t, coOut, coErr)
 }
 
 // TestDistrunFingerprintMatchesSimulate pins the fingerprint parts to

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"reskit"
+	"reskit/internal/ckpt"
+	"reskit/internal/sim"
 )
 
 // campaignArgs is the fixed campaign configuration shared by the
@@ -113,6 +115,65 @@ func TestResumeMismatchedConfigStartsFresh(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "starting fresh") {
 		t.Errorf("mismatched snapshot should trigger a fresh run, got %q", out.String())
+	}
+}
+
+// TestResumeRefusesPreSamplerVersionSnapshot: a snapshot written before
+// the sampler version entered the config fingerprint holds blocks drawn
+// by the old sampler. Resuming must refuse it with a message naming the
+// fingerprint, and produce the numbers of a fresh run. A snapshot under
+// the current fingerprint of the same parts is accepted, which proves
+// the parts below are the ones campaign mode hashes.
+func TestResumeRefusesPreSamplerVersionSnapshot(t *testing.T) {
+	args := []string{
+		"-campaign", "-R", "29", "-task", "norm:3,0.5@[0,inf]", "-ckpt", "norm:5,0.4@[0,inf]",
+		"-recovery", "1.5", "-totalwork", "120", "-trials", "200", "-seed", "3",
+	}
+	parts := []string{"campaign", "R=29", "recovery=1.5", "task=norm:3,0.5@[0,inf]", "taskdisc=",
+		"ckpt=norm:5,0.4@[0,inf]", "totalwork=120", "faults=no faults", "trials=200", "seed=3"}
+	jobs := int64(sim.NumCampaignBlocks(200))
+	snapshot := func(fp uint64, payload []byte) string {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		st := ckpt.New(ckpt.KindJobs, fp, 3, jobs, 1)
+		if payload != nil {
+			for b := 0; b < int(jobs); b++ {
+				st.Blocks[b] = payload
+			}
+		}
+		if err := st.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	resume := func(path string) (string, error) {
+		var out bytes.Buffer
+		err := run(append(append([]string{}, args...), "-checkpoint", path, "-resume"), &out)
+		return out.String(), err
+	}
+
+	// Control: the current fingerprint of these parts is this run's.
+	out, err := resume(snapshot(reskit.ConfigFingerprint(parts...), nil))
+	if err != nil || !strings.Contains(out, "resume: restoring 0/") {
+		t.Fatalf("snapshot under the current fingerprint not accepted (err %v):\n%s", err, out)
+	}
+
+	var ref bytes.Buffer
+	if err := run(args, &ref); err != nil {
+		t.Fatal(err)
+	}
+	// Every block of the stale snapshot holds bytes no decoder accepts:
+	// restoring any of them would fail the run.
+	out, err = resume(snapshot(ckpt.Fingerprint(parts...), []byte("drawn by sampler v1")))
+	if err != nil {
+		t.Fatalf("resume over a pre-version snapshot: %v\n%s", err, out)
+	}
+	for _, want := range []string{"does not match this run", "config fingerprint", "sampler version", "starting fresh"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("refusal output lacks %q:\n%s", want, out)
+		}
+	}
+	if got, want := campaignResultLines(out), campaignResultLines(ref.String()); got != want {
+		t.Errorf("refused resume differs from a fresh run:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -169,7 +169,7 @@ func (s *State) CheckStream(fingerprint, seed uint64) error {
 	case s.Kind != KindStream:
 		return fmt.Errorf("%w: snapshot kind %v, run kind %v", ErrMismatch, s.Kind, KindStream)
 	case s.Fingerprint != fingerprint:
-		return fmt.Errorf("%w: config fingerprint %016x, run fingerprint %016x", ErrMismatch, s.Fingerprint, fingerprint)
+		return fmt.Errorf("%w: config fingerprint %016x, run fingerprint %016x (%s)", ErrMismatch, s.Fingerprint, fingerprint, fingerprintHint)
 	case s.Seed != seed:
 		return fmt.Errorf("%w: snapshot seed %d, run seed %d", ErrMismatch, s.Seed, seed)
 	case s.Trials <= 0 || len(s.Blocks[0]) == 0:
@@ -186,7 +186,7 @@ func (s *State) Check(kind Kind, fingerprint, seed uint64, trials, blockSize int
 	case s.Kind != kind:
 		return fmt.Errorf("%w: snapshot kind %v, run kind %v", ErrMismatch, s.Kind, kind)
 	case s.Fingerprint != fingerprint:
-		return fmt.Errorf("%w: config fingerprint %016x, run fingerprint %016x", ErrMismatch, s.Fingerprint, fingerprint)
+		return fmt.Errorf("%w: config fingerprint %016x, run fingerprint %016x (%s)", ErrMismatch, s.Fingerprint, fingerprint, fingerprintHint)
 	case s.Seed != seed:
 		return fmt.Errorf("%w: snapshot seed %d, run seed %d", ErrMismatch, s.Seed, seed)
 	case s.Trials != trials:
@@ -196,6 +196,9 @@ func (s *State) Check(kind Kind, fingerprint, seed uint64, trials, blockSize int
 	}
 	return nil
 }
+
+// fingerprintHint names what a fingerprint mismatch usually means.
+const fingerprintHint = "different flags, or written by another sampler version"
 
 // headerSize is the fixed prefix: magic, version, crc, kind, and the
 // five geometry fields.

@@ -18,6 +18,18 @@ import (
 	"reskit/internal/rng"
 )
 
+// SamplerVersion names the variate streams the laws' Sample methods
+// draw from a given rng state. Bump it whenever a change alters any of
+// those streams, however exact the new sampler is: run fingerprints
+// hash it (reskit.ConfigFingerprint), so snapshots and distributed
+// workers from another version are refused rather than silently mixed
+// into one aggregate.
+//
+// Version 2: Truncated.Sample rejects from the base sampler when the
+// truncation keeps at least half the mass (version 1 always inverted
+// the CDF).
+const SamplerVersion = 2
+
 // Continuous is a continuous probability law on (a subset of) the reals.
 type Continuous interface {
 	fmt.Stringer

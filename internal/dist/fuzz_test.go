@@ -52,6 +52,47 @@ func FuzzTruncate(f *testing.F) {
 	})
 }
 
+// FuzzTruncatedSample draws from random truncations of the normal,
+// gamma and exponential laws, on either side of the mass-1/2 split
+// between rejection and inverse CDF: Sample must return, and every
+// draw must lie in [Lo, Hi].
+func FuzzTruncatedSample(f *testing.F) {
+	f.Add(uint8(0), 3.0, 0.5, 0.0, math.Inf(1), uint64(1))
+	f.Add(uint8(0), 3.5, 1.0, 1.0, 6.0, uint64(2))
+	f.Add(uint8(0), 0.0, 1.0, 0.0, math.Inf(1), uint64(3)) // mass exactly 1/2
+	f.Add(uint8(0), 0.0, 1.0, -1e-9, 1e-9, uint64(4))      // a sliver
+	f.Add(uint8(1), 6.0, 0.5, 0.0, math.Inf(1), uint64(5))
+	f.Add(uint8(1), 0.3, 2.0, 1e-3, 0.5, uint64(6))
+	f.Add(uint8(2), 0.5, 0.0, 1.0, 3.0, uint64(7))
+	f.Add(uint8(2), 0.5, 0.0, math.Inf(-1), 2.0, uint64(8))
+
+	f.Fuzz(func(t *testing.T, kind uint8, p1, p2, lo, hi float64, seed uint64) {
+		var base Continuous
+		var err error
+		switch kind % 3 {
+		case 0:
+			base, err = TryNewNormal(p1, p2)
+		case 1:
+			base, err = TryNewGamma(p1, p2)
+		default:
+			base, err = TryNewExponential(p1)
+		}
+		if err != nil {
+			return
+		}
+		tr, err := TryTruncate(base, lo, hi)
+		if err != nil {
+			return
+		}
+		r := rng.New(seed)
+		for i := 0; i < 64; i++ {
+			if x := tr.Sample(r); !(x >= lo && x <= hi) {
+				t.Fatalf("%v: draw %d = %g outside [%g, %g] (mass %g)", tr, i, x, lo, hi, tr.mass)
+			}
+		}
+	})
+}
+
 // FuzzTryEmpirical checks the recover-based constructor against
 // arbitrary 4-observation samples.
 func FuzzTryEmpirical(f *testing.F) {

@@ -22,6 +22,7 @@ type Truncated struct {
 	// cached at construction
 	fLo, fHi float64 // base CDF at the bounds
 	mass     float64 // fHi - fLo
+	reject   bool    // Sample rejects from the base law (mass >= 1/2)
 	mean     float64
 	variance float64
 }
@@ -41,7 +42,7 @@ func Truncate(base Continuous, lo, hi float64) *Truncated {
 	if !(mass > 0) {
 		panic(fmt.Sprintf("dist: Truncate: %v has zero mass on [%g, %g]", base, lo, hi))
 	}
-	t := &Truncated{Base: base, Lo: lo, Hi: hi, fLo: fLo, fHi: fHi, mass: mass}
+	t := &Truncated{Base: base, Lo: lo, Hi: hi, fLo: fLo, fHi: fHi, mass: mass, reject: mass >= 0.5}
 	t.mean, t.variance = t.numericMoments()
 	return t
 }
@@ -129,9 +130,33 @@ func (t *Truncated) Variance() float64 { return t.variance }
 // Support returns [Lo, Hi].
 func (t *Truncated) Support() (float64, float64) { return t.Lo, t.Hi }
 
-// Sample draws a variate by inverse-CDF through the base quantile: draw
-// u ~ Uniform(0,1) and map F^{-1}(F(Lo) + u*mass). This is exact and
-// rejection-free even for deep truncations.
+// rejectAttempts bounds the rejection loop of Sample. With a retained
+// mass of at least 1/2, reaching the bound has probability at most
+// 2^-64; a base sampler that returns NaN reaches it every time.
+const rejectAttempts = 64
+
+// Sample draws a variate with one of two exact methods, chosen at
+// construction from the retained mass F(Hi) - F(Lo):
+//
+//   - mass >= 1/2: draw from the base law's own sampler and reject
+//     values outside (Lo, Hi], the event whose law CDF describes. That
+//     takes at most 2 expected base draws. After rejectAttempts misses
+//     it falls back to inverse CDF, which keeps the result exact: every
+//     accepted draw already has the truncated law, and the fallback is
+//     independent of the rejected draws.
+//   - mass < 1/2: inverse CDF through the base quantile, mapping
+//     u ~ Uniform(0,1) to F^{-1}(F(Lo) + u*mass). One uniform per draw,
+//     however deep the truncation.
+//
+// Which method runs, and so the variate stream a given rng state
+// yields, is part of SamplerVersion.
 func (t *Truncated) Sample(r *rng.Source) float64 {
+	if t.reject {
+		for i := 0; i < rejectAttempts; i++ {
+			if x := t.Base.Sample(r); t.Lo < x && x <= t.Hi {
+				return x
+			}
+		}
+	}
 	return t.Quantile(r.Float64Open())
 }

@@ -289,7 +289,7 @@ func (c *Coordinator) Handler() http.Handler {
 func (c *Coordinator) checkID(id RunID) error {
 	switch {
 	case uint64(id.Fingerprint) != c.cfg.Fingerprint:
-		return fmt.Errorf("distrun: worker fingerprint %016x, run fingerprint %016x",
+		return fmt.Errorf("distrun: worker fingerprint %016x, run fingerprint %016x (different flags, or another sampler version)",
 			uint64(id.Fingerprint), c.cfg.Fingerprint)
 	case uint64(id.Seed) != c.cfg.Seed:
 		return fmt.Errorf("distrun: worker seed %016x, run seed %016x", uint64(id.Seed), c.cfg.Seed)

@@ -154,10 +154,12 @@ func TestClientContextCancelStopsRetrying(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := NewClient()
 	c.SetRetry(100, time.Hour) // without cancellation this would sleep forever
+	// Cancel as the first attempt's response arrives: the attempt has
+	// completed, so there is a last error to report, and the client is
+	// about to sleep, however slow the host.
+	c.SetTransport(cancelOnResponse{c.Transport(), cancel})
 	done := make(chan error, 1)
 	go func() { done <- c.PostJSON(ctx, url, echoPayload{}, nil) }()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
@@ -169,6 +171,19 @@ func TestClientContextCancelStopsRetrying(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation did not interrupt the backoff sleep")
 	}
+}
+
+// cancelOnResponse is a transport that runs cancel after each round
+// trip returns.
+type cancelOnResponse struct {
+	rt     http.RoundTripper
+	cancel context.CancelFunc
+}
+
+func (c cancelOnResponse) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := c.rt.RoundTrip(r)
+	c.cancel()
+	return resp, err
 }
 
 // TestClientBadResponseBodyIsFinal: a 2xx with a non-JSON body is a

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -92,7 +93,10 @@ func TestSlowlorisConnectionIsDropped(t *testing.T) {
 
 func TestShutdownDeadlineForcesClose(t *testing.T) {
 	block := make(chan struct{})
+	pinned := make(chan struct{})
+	var pin sync.Once
 	s, err := Listen("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		pin.Do(func() { close(pinned) })
 		<-block
 	}))
 	if err != nil {
@@ -100,7 +104,8 @@ func TestShutdownDeadlineForcesClose(t *testing.T) {
 	}
 	defer close(block)
 	go http.Get("http://" + s.Addr().String() + "/") //nolint:errcheck
-	time.Sleep(100 * time.Millisecond)               // let the request pin a handler
+	// The request now holds a handler the shutdown must cut.
+	<-pinned
 	start := time.Now()
 	if err := s.Shutdown(300 * time.Millisecond); err != nil {
 		t.Fatalf("bounded shutdown returned %v", err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,22 +191,40 @@ func TestTraceEventsWellFormed(t *testing.T) {
 	_ = agg
 }
 
+// cancelAfterRuns returns an Observer whose trace sink cancels the run
+// once n reservations have ended, and a function reporting when it did.
+// The trigger counts simulated work, not wall-clock time, so the cancel
+// always lands mid-run however loaded the host is; the hook consumes no
+// randomness, like every observer.
+func cancelAfterRuns(n int64, cancel context.CancelFunc) (*Observer, func() time.Time) {
+	var ended atomic.Int64
+	var at atomic.Pointer[time.Time]
+	o := &Observer{Trace: obs.FuncSink(func(ev obs.Event) {
+		if ev.Kind == obs.EvRunEnd && ended.Add(1) == n {
+			now := time.Now()
+			at.Store(&now)
+			cancel()
+		}
+	})}
+	return o, func() time.Time { return *at.Load() }
+}
+
 func TestMonteCarloCancellationMergesOnlyCompletedTrials(t *testing.T) {
 	// The cancellation contract: the aggregate covers exactly the trials
 	// that completed — every per-metric summary holds one sample per
-	// accounted trial, never a partial or duplicated one.
+	// accounted trial, never a partial or duplicated one. The cancel
+	// fires once a block's worth of trials has ended, and a trial that
+	// ended is always accounted, so the partial holds at least that many.
 	cfg := fig8Config(strategy.NewWorkThreshold(20))
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	cfg.Obs, _ = cancelAfterRuns(mcBlockSize, cancel)
 	agg, err := MonteCarloContext(ctx, cfg, 50_000_000, 41, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if agg.Trials == 0 || agg.Trials >= 50_000_000 {
-		t.Fatalf("cancellation accounted %d trials; want a mid-campaign partial", agg.Trials)
+	if agg.Trials < mcBlockSize || agg.Trials >= 50_000_000 {
+		t.Fatalf("cancellation accounted %d trials; want a mid-campaign partial of at least %d", agg.Trials, mcBlockSize)
 	}
 	for _, s := range []struct {
 		name string
