@@ -40,7 +40,6 @@ import (
 	"reskit/internal/httpd"
 	"reskit/internal/lawspec"
 	"reskit/internal/obs"
-	"reskit/internal/rng"
 	"reskit/internal/sim"
 )
 
@@ -164,23 +163,21 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Sprintf("trials=%d", *trials),
 		fmt.Sprintf("seed=%d", *seed),
 	)
-	numBlocks := sim.NumCampaignBlocks(*trials)
 	// The sweep grid is row-major over (MTBF row, block): the very job
-	// layout of simulate's -faultsweep, so job i means the same work on
+	// grid of simulate's -faultsweep, so job i means the same work on
 	// both sides. An empty sweep is a single implicit row — the plain
 	// campaign.
-	var (
-		mtbfs []float64
-		cfgs  []reskit.CampaignConfig
-	)
+	grid := sweepGrid{trials: *trials, numBlocks: sim.NumCampaignBlocks(*trials)}
 	if *faultSweep != "" {
-		if mtbfs, cfgs, err = sim.FaultSweepConfigs(cfg, *faultSweep); err != nil {
+		var cfgs []reskit.CampaignConfig
+		if grid.mtbfs, cfgs, err = sim.FaultSweepConfigs(cfg, *faultSweep); err != nil {
 			return fmt.Errorf("-faultsweep: %w", err)
 		}
+		grid.jobs = sim.FaultSweepJobs(grid.mtbfs, cfgs, *trials)
 	} else {
-		cfgs = []reskit.CampaignConfig{cfg}
+		grid.jobs = sim.CampaignJobs(nil, "", cfg, *trials)
 	}
-	numJobs := len(cfgs) * numBlocks
+	numJobs := len(grid.jobs)
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -190,7 +187,6 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}()
 
-	grid := sweepGrid{cfgs: cfgs, mtbfs: mtbfs, trials: *trials, numBlocks: numBlocks}
 	if *workerURL != "" {
 		return runWorker(sigCtx, out, *workerURL, *name, grid, numJobs, *seed, fp,
 			engine.Failure{Retries: *retries, Backoff: *retryBackoff, JobTimeout: *jobTimeout}, *workers)
@@ -204,39 +200,20 @@ func run(args []string, out io.Writer) (err error) {
 	}, grid, numJobs, *seed, fp)
 }
 
-// sweepGrid is the job layout both distrun roles share: the campaign
-// rows (one for a plain campaign, one per MTBF for -faultsweep), laid
-// out row-major over (row, block). Job i simulates block i%numBlocks of
-// row i/numBlocks — the identical layout, names and payload functions
-// as simulate's -campaign/-faultsweep job grids.
+// sweepGrid is the job grid both distrun roles share: the campaign rows
+// (one for a plain campaign, one per MTBF for -faultsweep), laid out
+// row-major over (row, block) by the same sim constructors as
+// simulate's -campaign/-faultsweep grids — the identical names,
+// streams and payload functions.
 type sweepGrid struct {
-	cfgs      []reskit.CampaignConfig
+	jobs      []engine.Job
 	mtbfs     []float64 // nil for a plain campaign
 	trials    int
 	numBlocks int
 }
 
-// jobName renders job i's canonical name.
-func (g sweepGrid) jobName(i int) string {
-	if g.mtbfs != nil {
-		return sim.FaultSweepJobName(g.mtbfs, g.numBlocks, i)
-	}
-	return fmt.Sprintf("block%d", i)
-}
-
-// job builds job i — the same Name, Stream and payload function as the
-// corresponding simulate job.
-func (g sweepGrid) job(i int) engine.Job {
-	ri, b := i/g.numBlocks, i%g.numBlocks
-	return engine.Job{
-		Name:   g.jobName(i),
-		Stream: uint64(b),
-		Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-			data, err := sim.CampaignBlockPayload(ctx, g.cfgs[ri], g.trials, b, src)
-			return engine.JobResult{Payload: data}, err
-		},
-	}
-}
+func (g sweepGrid) job(i int) engine.Job { return g.jobs[i] }
+func (g sweepGrid) jobName(i int) string { return g.jobs[i].Name }
 
 // buildCampaign assembles the campaign exactly as simulate's campaign
 // mode does, so the job payloads are the same pure functions.

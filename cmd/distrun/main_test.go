@@ -37,19 +37,14 @@ func campaignGrid(t *testing.T) sweepGrid {
 		t.Fatal(err)
 	}
 	const trials = 1280
-	return sweepGrid{cfgs: []reskit.CampaignConfig{cfg}, trials: trials, numBlocks: sim.NumCampaignBlocks(trials)}
+	return sweepGrid{jobs: sim.CampaignJobs(nil, "", cfg, trials), trials: trials, numBlocks: sim.NumCampaignBlocks(trials)}
 }
 
 // localAggregate computes the reference aggregate through the local
 // engine, exactly as simulate's campaign mode would.
 func localAggregate(t *testing.T) sim.CampaignAggregate {
 	t.Helper()
-	grid := campaignGrid(t)
-	jobs := make([]engine.Job, grid.numBlocks)
-	for i := range jobs {
-		jobs[i] = grid.job(i)
-	}
-	res, err := engine.Run(context.Background(), engine.Spec{Jobs: jobs, Seed: 7})
+	res, err := engine.Run(context.Background(), engine.Spec{Jobs: campaignGrid(t).jobs, Seed: 7})
 	if err != nil {
 		t.Fatalf("local reference: %v", err)
 	}
@@ -182,12 +177,7 @@ func TestDistrunFaultSweepMatchesSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := sim.NumCampaignBlocks(trials)
-	grid := sweepGrid{cfgs: cfgs, mtbfs: mtbfs, trials: trials, numBlocks: n}
-	jobs := make([]engine.Job, len(cfgs)*n)
-	for i := range jobs {
-		jobs[i] = grid.job(i)
-	}
-	res, err := engine.Run(context.Background(), engine.Spec{Jobs: jobs, Seed: 7})
+	res, err := engine.Run(context.Background(), engine.Spec{Jobs: sim.FaultSweepJobs(mtbfs, cfgs, trials), Seed: 7})
 	if err != nil {
 		t.Fatalf("local reference: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"reskit/internal/benchkit"
 	"reskit/internal/engine"
 	"reskit/internal/lawspec"
-	"reskit/internal/rng"
 	"reskit/internal/sim"
 )
 
@@ -64,26 +63,6 @@ func (c ckptOpts) spec(jobs []engine.Job, seed uint64, workers int, out io.Write
 		sp.Reg = ob.reg
 	}
 	return sp
-}
-
-// campaignJobs lays out one campaign Monte-Carlo as its engine job grid:
-// one job per block, block b on rng substream b, exactly the sharding of
-// the in-process campaign runners — so merged payloads are bit-identical
-// to an uninterrupted MonteCarloCampaign for any worker count.
-func campaignJobs(cfg reskit.CampaignConfig, trials int) []engine.Job {
-	jobs := make([]engine.Job, sim.NumCampaignBlocks(trials))
-	for b := range jobs {
-		b := b
-		jobs[b] = engine.Job{
-			Name:   fmt.Sprintf("block%d", b),
-			Stream: uint64(b),
-			Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-				data, err := sim.CampaignBlockPayload(ctx, cfg, trials, b, src)
-				return engine.JobResult{Payload: data}, err
-			},
-		}
-	}
-	return jobs
 }
 
 // checkCampaignPayload adapts the payload validator to the engine's
@@ -166,7 +145,7 @@ func runCampaignMode(ctx context.Context, out io.Writer, r, recovery, totalWork 
 	}
 
 	start := time.Now()
-	res, runErr := engine.Run(ctx, ckOpts.spec(campaignJobs(cfg, trials), seed, workers, out, ob, checkCampaignPayload))
+	res, runErr := engine.Run(ctx, ckOpts.spec(sim.CampaignJobs(nil, "", cfg, trials), seed, workers, out, ob, checkCampaignPayload))
 	elapsed := time.Since(start)
 	// A restore error (malformed block payload) or a job out of retry
 	// budget is a real failure, not an interruption: surface it instead
@@ -221,20 +200,7 @@ func runFaultSweep(ctx context.Context, out io.Writer, cfg reskit.CampaignConfig
 	}
 
 	numBlocks := sim.NumCampaignBlocks(trials)
-	jobs := make([]engine.Job, 0, len(mtbfs)*numBlocks)
-	for ri := range cfgs {
-		for b := 0; b < numBlocks; b++ {
-			ri, b := ri, b
-			jobs = append(jobs, engine.Job{
-				Name:   sim.FaultSweepJobName(mtbfs, numBlocks, ri*numBlocks+b),
-				Stream: uint64(b),
-				Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-					data, err := sim.CampaignBlockPayload(ctx, cfgs[ri], trials, b, src)
-					return engine.JobResult{Payload: data}, err
-				},
-			})
-		}
-	}
+	jobs := sim.FaultSweepJobs(mtbfs, cfgs, trials)
 
 	res, runErr := engine.Run(ctx, ckOpts.spec(jobs, seed, workers, out, ob, checkCampaignPayload))
 	if err := hardFailure(ctx, runErr, res); err != nil {
@@ -353,7 +319,7 @@ func engineMetrics(ob *simObs) map[string]float64 {
 func writeCampaignBench(ctx context.Context, out io.Writer, cfg reskit.CampaignConfig, trials int, seed uint64,
 	path string, _ ckptOpts, ob *simObs) error {
 
-	jobs := campaignJobs(cfg, trials)
+	jobs := sim.CampaignJobs(nil, "", cfg, trials)
 
 	// Warm-up builds the dynamic strategy's coefficient table outside the
 	// timed region so every cell measures pure simulation throughput.

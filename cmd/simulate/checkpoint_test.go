@@ -59,28 +59,41 @@ func TestCheckpointFlagValidation(t *testing.T) {
 }
 
 // TestCampaignCheckpointTimeoutResume interrupts a checkpointed campaign
-// in-process via -timeout, then resumes it and requires the aggregate
-// lines bit-identical to an uninterrupted reference run.
+// mid-run, then resumes it and requires the aggregate lines
+// bit-identical to an uninterrupted reference run. The interrupt is
+// event-driven: the re-executed binary is SIGINTed only once its
+// snapshot exists, so a loaded host cannot stop the run before the first
+// commit (a wall-clock -timeout could).
 func TestCampaignCheckpointTimeoutResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
+	path := os.Getenv("SIMULATE_CAMPAIGN_CKPT")
+	if os.Getenv("SIMULATE_REEXEC") == "1" && path != "" {
+		os.Args = append([]string{"simulate"}, campaignArgs("-checkpoint", path, "-checkpoint-interval", "1ms")...)
+		main()
+		t.Fatal("main returned instead of exiting") // unreachable on success
+	}
+
+	path = filepath.Join(t.TempDir(), "run.ckpt")
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestCampaignCheckpointTimeoutResume$")
+	cmd.Env = append(os.Environ(), "SIMULATE_REEXEC=1", "SIMULATE_CAMPAIGN_CKPT="+path)
+	var interrupted bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &interrupted, &interrupted
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if code := sigintAndWait(t, cmd, path, &interrupted); code == 0 {
+		t.Skipf("campaign finished before the interrupt landed; nothing to resume (output %q)", interrupted.String())
+	}
+	if !strings.Contains(interrupted.String(), "rerun with -resume") {
+		t.Fatalf("interrupted campaign should point at -resume, got %q", interrupted.String())
+	}
+	if _, err := reskit.LoadRunState(path); err != nil {
+		t.Fatalf("snapshot after the interrupt is unusable: %v", err)
+	}
 
 	var ref bytes.Buffer
 	if err := run(campaignArgs(), &ref); err != nil {
 		t.Fatal(err)
 	}
-
-	var interrupted bytes.Buffer
-	if err := run(campaignArgs("-checkpoint", path, "-checkpoint-interval", "1ms", "-timeout", "300ms"),
-		&interrupted); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(interrupted.String(), "rerun with -resume") {
-		t.Skipf("campaign finished before the 300ms timeout; nothing to resume (output %q)", interrupted.String())
-	}
-	if _, err := reskit.LoadRunState(path); err != nil {
-		t.Fatalf("snapshot after timeout is unusable: %v", err)
-	}
-
 	var resumed bytes.Buffer
 	if err := run(campaignArgs("-checkpoint", path, "-resume"), &resumed); err != nil {
 		t.Fatal(err)

@@ -144,15 +144,6 @@ func (o *simObs) attach(cfg *reskit.SimConfig) {
 	}
 }
 
-// instrumentCkpt binds the checkpoint writer's snapshot/commit gauges on
-// the registry, so -metrics and /debug/vars show durable-run progress.
-// Safe on a nil *simObs.
-func (o *simObs) instrumentCkpt(w *reskit.RunCheckpointer) {
-	if o != nil {
-		w.Instrument(o.reg)
-	}
-}
-
 // counted wraps a strategy so every continue/checkpoint/stop decision
 // is tallied on the registry. Decisions are unchanged, so simulation
 // results stay bit-identical. Safe on a nil *simObs.

@@ -8,7 +8,6 @@ import (
 
 	"reskit"
 	"reskit/internal/engine"
-	"reskit/internal/rng"
 	"reskit/internal/sim"
 )
 
@@ -41,19 +40,9 @@ func runPreempt(ctx context.Context, out io.Writer, r float64, ckpt reskit.Conti
 	}
 
 	numBlocks := sim.NumMonteCarloBlocks(trials)
-	jobs := make([]engine.Job, 0, len(policies)*numBlocks)
-	for pi := range policies {
-		for b := 0; b < numBlocks; b++ {
-			pi, b := pi, b
-			jobs = append(jobs, engine.Job{
-				Name:   fmt.Sprintf("%s/block%d", policies[pi].name, b),
-				Stream: uint64(b),
-				Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-					data, err := sim.PreemptibleBlockPayload(ctx, p, policies[pi].x, policies[pi].oracle, trials, b, src)
-					return engine.JobResult{Payload: data}, err
-				},
-			})
-		}
+	var jobs []engine.Job
+	for _, pol := range policies {
+		jobs = sim.PreemptibleJobs(jobs, pol.name+"/", p, pol.x, pol.oracle, trials)
 	}
 
 	check := func(_ int, data []byte) error { return sim.CheckPreemptiblePayload(data) }

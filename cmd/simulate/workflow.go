@@ -13,7 +13,6 @@ import (
 	"reskit/internal/dist"
 	"reskit/internal/engine"
 	"reskit/internal/lawspec"
-	"reskit/internal/rng"
 	"reskit/internal/sim"
 	"reskit/internal/stats"
 )
@@ -151,17 +150,7 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery, failRate float
 			continue
 		}
 		offsets[si] = len(jobs)
-		for b := 0; b < numBlocks; b++ {
-			si, b := si, b
-			jobs = append(jobs, engine.Job{
-				Name:   fmt.Sprintf("%s/block%d", specs[si].name, b),
-				Stream: uint64(b),
-				Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-					data, err := sim.MonteCarloBlockPayload(ctx, specs[si].cfg, trials, b, specs[si].oracle, src)
-					return engine.JobResult{Payload: data}, err
-				},
-			})
-		}
+		jobs = sim.MonteCarloJobs(jobs, specs[si].name+"/", specs[si].cfg, trials, specs[si].oracle)
 	}
 
 	check := func(_ int, data []byte) error { return sim.CheckMonteCarloPayload(data) }

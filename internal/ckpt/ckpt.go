@@ -36,10 +36,12 @@ import (
 // config mismatch.
 type Kind uint8
 
-// Snapshot kinds.
+// Snapshot kinds. KindMonteCarlo and KindCampaign were written by the
+// worker pools that predate the engine; files of those kinds still
+// decode, and are refused by every run as a kind mismatch.
 const (
-	KindMonteCarlo Kind = 1 // per-reservation Monte-Carlo (sim.MonteCarlo*)
-	KindCampaign   Kind = 2 // multi-reservation campaign (sim.MonteCarloCampaign*)
+	KindMonteCarlo Kind = 1 // per-reservation Monte-Carlo blocks
+	KindCampaign   Kind = 2 // multi-reservation campaign blocks
 	KindJobs       Kind = 3 // grid of engine jobs (internal/engine), one payload per job
 	KindStream     Kind = 4 // open-ended stream of engine jobs: frontier + sink state
 )

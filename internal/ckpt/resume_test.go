@@ -6,13 +6,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"reskit/internal/ckpt"
 	"reskit/internal/core"
 	"reskit/internal/dist"
+	"reskit/internal/engine"
+	"reskit/internal/rng"
 	"reskit/internal/sim"
 	"reskit/internal/strategy"
 )
@@ -33,79 +35,89 @@ func testCampaignConfig() sim.CampaignConfig {
 	}
 }
 
-// killer wraps a Writer and cancels the run after n block commits,
-// simulating a kill at an arbitrary block boundary while the real
+// killAfter wraps jobs so the run is cancelled as soon as n of them have
+// completed — a kill at an arbitrary block boundary while the real
 // on-disk snapshot machinery runs underneath.
-type killer struct {
-	*ckpt.Writer
-	mu      sync.Mutex
-	left    int
-	cancel  context.CancelFunc
-	commits int
-}
-
-func (k *killer) Commit(b int, payload []byte) {
-	k.Writer.Commit(b, payload)
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.commits++
-	if k.commits == k.left {
-		k.cancel()
+func killAfter(jobs []engine.Job, n int64, cancel context.CancelFunc) []engine.Job {
+	var done atomic.Int64
+	out := make([]engine.Job, len(jobs))
+	for i, j := range jobs {
+		run := j.Run
+		j.Run = func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
+			jr, err := run(ctx, src)
+			if err == nil && done.Add(1) == n {
+				cancel()
+			}
+			return jr, err
+		}
+		out[i] = j
 	}
+	return out
 }
 
 // TestDiskKillAndResumeBitIdentical is the full acceptance loop through
-// the disk: run, kill at a block boundary, flush the final snapshot,
-// load + validate it from disk, resume only the missing blocks, and
-// require the final aggregate bit-identical to an uninterrupted run —
-// across worker counts 1, 4 and 8 (run under -race in CI).
+// the disk on the engine path: run, kill at a block boundary (the
+// engine flushes the final snapshot), load + validate the snapshot from
+// disk, resume only the missing blocks, and require the final aggregate
+// bit-identical to an uninterrupted run — across worker counts 1, 4 and
+// 8 (run under -race in CI).
 func TestDiskKillAndResumeBitIdentical(t *testing.T) {
 	cfg := testCampaignConfig()
-	const trials = 4*sim.CampaignBlockSize + 9
+	const trials = 4*32 + 9 // 5 campaign blocks of 32, the last one ragged
 	const seed = 77
 	fp := ckpt.Fingerprint("test-campaign", "R=29", "totalwork=150")
 	want := sim.MonteCarloCampaign(cfg, trials, seed, 0)
+	jobs := sim.CampaignJobs(nil, "", cfg, trials)
+	n := int64(len(jobs))
+	check := func(_ int, data []byte) error { return sim.CheckCampaignPayload(data) }
 
 	for _, workers := range []int{1, 4, 8} {
 		path := filepath.Join(t.TempDir(), "run.ckpt")
-
-		// Interrupted leg: snapshot on every commit (interval elapses
-		// immediately), cancel after two committed blocks.
-		st := ckpt.New(ckpt.KindCampaign, fp, seed, trials, sim.CampaignBlockSize)
-		w := ckpt.NewWriter(path, time.Nanosecond, st)
-		ctx, cancel := context.WithCancel(context.Background())
-		k := &killer{Writer: w, left: 2, cancel: cancel}
-		_, _ = sim.MonteCarloCampaignCheckpointed(ctx, cfg, trials, seed, workers, k)
-		cancel()
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+		spec := engine.Spec{
+			Seed:        seed,
+			Fingerprint: fp,
+			Workers:     workers,
+			Checkpoint:  engine.Checkpoint{Path: path, Interval: time.Nanosecond, Resume: true},
+			Check:       check,
 		}
 
-		// Resume leg: load + validate the snapshot from disk, then run
-		// only the missing blocks.
+		// Interrupted leg: snapshot on every commit (interval elapses
+		// immediately), cancel after two completed blocks.
+		ctx, cancel := context.WithCancel(context.Background())
+		spec.Jobs = killAfter(jobs, 2, cancel)
+		_, _ = engine.Run(ctx, spec)
+		cancel()
+
+		// The snapshot on disk is a valid image of this run.
 		loaded, err := ckpt.Load(path)
 		if err != nil {
 			t.Fatalf("workers=%d: loading snapshot: %v", workers, err)
 		}
-		if err := loaded.Check(ckpt.KindCampaign, fp, seed, trials, sim.CampaignBlockSize); err != nil {
+		if err := loaded.Check(ckpt.KindJobs, fp, seed, n, 1); err != nil {
 			t.Fatalf("workers=%d: snapshot mismatch: %v", workers, err)
 		}
 		if loaded.Done() == 0 {
 			t.Fatalf("workers=%d: snapshot recorded no blocks", workers)
 		}
-		w2 := ckpt.NewWriter(path, time.Minute, loaded)
-		got, err := sim.MonteCarloCampaignCheckpointed(context.Background(), cfg, trials, seed, workers, w2)
+
+		// Resume leg: only the missing blocks run.
+		spec.Jobs = jobs
+		res, err := engine.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("workers=%d: resume: %v", workers, err)
+		}
+		if res.Restored != loaded.Done() {
+			t.Errorf("workers=%d: restored %d blocks, snapshot holds %d", workers, res.Restored, loaded.Done())
+		}
+		got, err := sim.MergeCampaignPayloads(res.Payloads)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if got != want {
 			t.Errorf("workers=%d: resumed aggregate differs:\n got %+v\nwant %+v", workers, got, want)
 		}
-		if err := w2.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if final, err := ckpt.Load(path); err != nil || int64(final.Done()) != final.NumBlocks {
-			t.Errorf("workers=%d: final snapshot incomplete (done=%v, err=%v)", workers, final.Done(), err)
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("workers=%d: completed run left its snapshot behind (stat err = %v)", workers, err)
 		}
 	}
 }
@@ -115,7 +127,7 @@ func TestDiskKillAndResumeBitIdentical(t *testing.T) {
 // structured mismatch error before any block is trusted.
 func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	st := ckpt.New(ckpt.KindCampaign, ckpt.Fingerprint("totalwork=150"), 1, 135, sim.CampaignBlockSize)
+	st := ckpt.New(ckpt.KindJobs, ckpt.Fingerprint("totalwork=150"), 1, 5, 1)
 	if err := st.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +135,7 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = loaded.Check(ckpt.KindCampaign, ckpt.Fingerprint("totalwork=500"), 1, 135, sim.CampaignBlockSize)
+	err = loaded.Check(ckpt.KindJobs, ckpt.Fingerprint("totalwork=500"), 1, 5, 1)
 	if !errors.Is(err, ckpt.ErrMismatch) {
 		t.Errorf("foreign snapshot: err = %v, want ErrMismatch", err)
 	}
@@ -133,7 +145,7 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 // truncated snapshot file yields a structured error, never a panic.
 func TestLoadCorruptSnapshotFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	st := ckpt.New(ckpt.KindMonteCarlo, 9, 1, 4096, sim.MonteCarloBlockSize)
+	st := ckpt.New(ckpt.KindJobs, 9, 1, 2, 1)
 	st.Blocks[0] = make([]byte, 312)
 	if err := st.WriteFile(path); err != nil {
 		t.Fatal(err)

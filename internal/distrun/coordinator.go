@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
-	"reskit/internal/ckpt"
 	"reskit/internal/engine"
 	"reskit/internal/obs"
 )
@@ -110,25 +108,23 @@ type Coordinator struct {
 	cfg  CoordinatorConfig
 	logw io.Writer
 
+	// led holds the payloads, counts, given-up jobs and durable
+	// snapshot — the same ledger engine.Run keeps — guarded by mu.
+	led *engine.Ledger
+
 	mu          sync.Mutex
 	state       []jobState
-	payloads    [][]byte
 	failReports []int
-	failed      map[int]*engine.JobError
 	queue       []int
 	leases      map[uint64]*lease
 	nextLease   uint64
 	workers     map[string]time.Time
 	ewmaNS      float64
-	done        int
-	restored    int
 	fatal       error
 	stopped     bool
 
 	finishOnce sync.Once
 	finished   chan struct{}
-
-	writer *ckpt.Writer
 
 	leasesIssued, leasesExpired, jobsRequeued, jobsRetried *obs.Counter
 	jobsCompleted, jobsRestoredC, dupResults               *obs.Counter
@@ -137,8 +133,9 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds the ledger, restoring completed jobs from the
-// snapshot when Checkpoint.Resume is set (with the same head-then-
-// previous-generation fallback and payload validation as engine.Run).
+// snapshot when Checkpoint.Resume is set (through engine.OpenLedger, so
+// with the same generation fallback and payload validation as
+// engine.Run).
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.NumJobs <= 0 {
 		return nil, fmt.Errorf("distrun: NumJobs must be positive, got %d", cfg.NumJobs)
@@ -174,9 +171,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:         cfg,
 		logw:        logw,
 		state:       make([]jobState, n),
-		payloads:    make([][]byte, n),
 		failReports: make([]int, n),
-		failed:      make(map[int]*engine.JobError),
 		leases:      make(map[uint64]*lease),
 		workers:     make(map[string]time.Time),
 		finished:    make(chan struct{}),
@@ -198,38 +193,28 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	cfg.Reg.Gauge("distrun.jobs_total").Set(float64(n))
 
-	if cfg.Checkpoint.Path != "" {
-		st := ckpt.New(ckpt.KindJobs, cfg.Fingerprint, cfg.Seed, int64(n), 1)
-		if cfg.Checkpoint.Resume {
-			if loaded := engine.ResumableState(logw, cfg.Checkpoint.Path, cfg.Fingerprint, cfg.Seed, int64(n)); loaded != nil {
-				st = loaded
-			}
-		}
-		c.writer = ckpt.NewWriter(cfg.Checkpoint.Path, cfg.Checkpoint.Interval, st)
-		c.writer.Instrument(cfg.Reg)
-		c.writer.LogTo(logw)
-		for i := 0; i < n; i++ {
-			payload := c.writer.Restore(i)
-			if payload == nil {
-				continue
-			}
-			if cfg.Check != nil {
-				if err := cfg.Check(i, payload); err != nil {
-					return nil, fmt.Errorf("distrun: restoring job %d (%s): %w", i, c.jobName(i), err)
-				}
-			}
-			c.payloads[i] = payload
-			c.state[i] = stateDone
-			c.done++
-			c.restored++
-			c.jobsRestoredC.Inc()
-			cfg.Progress.Add(1)
-		}
+	led, err := engine.OpenLedger(engine.LedgerSpec{
+		NumJobs:     n,
+		Seed:        cfg.Seed,
+		Fingerprint: cfg.Fingerprint,
+		Checkpoint:  cfg.Checkpoint,
+		Check:       cfg.Check,
+		JobName:     c.jobName,
+		Log:         logw,
+		Reg:         cfg.Reg,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("distrun: %w", err)
 	}
+	c.led = led
+	c.jobsRestoredC.Add(int64(led.Restored()))
+	cfg.Progress.Add(int64(led.Restored()))
 
-	c.queue = make([]int, 0, n-c.done)
+	c.queue = make([]int, 0, n-led.Restored())
 	for i := 0; i < n; i++ {
-		if c.state[i] == statePending {
+		if led.Recorded(i) {
+			c.state[i] = stateDone
+		} else {
 			c.queue = append(c.queue, i)
 		}
 	}
@@ -258,7 +243,7 @@ type Stats struct {
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Stats{Done: c.done, Restored: c.restored, Failed: len(c.failed), Workers: len(c.workers)}
+	s := Stats{Done: c.led.Done(), Restored: c.led.Restored(), Failed: c.led.Failed(), Workers: len(c.workers)}
 	for _, st := range c.state {
 		switch st {
 		case statePending:
@@ -304,12 +289,12 @@ func (c *Coordinator) checkID(id RunID) error {
 // success evicts the job from the failed set), so equality is the
 // expected trigger, but a counting bug must never leave Wait hanging.
 func (c *Coordinator) runOverLocked() bool {
-	return c.stopped || c.fatal != nil || c.done+len(c.failed) >= c.cfg.NumJobs
+	return c.stopped || c.fatal != nil || c.led.Done()+c.led.Failed() >= c.cfg.NumJobs
 }
 
 // maybeFinishLocked wakes Wait when the run is over.
 func (c *Coordinator) maybeFinishLocked() {
-	if c.fatal != nil || c.done+len(c.failed) >= c.cfg.NumJobs {
+	if c.fatal != nil || c.led.Done()+c.led.Failed() >= c.cfg.NumJobs {
 		c.finishOnce.Do(func() { close(c.finished) })
 	}
 }
@@ -443,7 +428,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			// then succeeded. The payload wins — evict the job from the
 			// failed set so done and failed stay disjoint and the run
 			// can still finish exactly.
-			delete(c.failed, jr.Job)
+			c.led.Unfail(jr.Job)
 			c.jobsUnfailed.Inc()
 			fmt.Fprintf(c.logw, "distrun: job %d (%s) succeeded after being given up; failure withdrawn\n",
 				jr.Job, c.jobName(jr.Job))
@@ -479,14 +464,10 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 // acceptLocked commits one fresh payload to the ledger and the durable
 // snapshot.
 func (c *Coordinator) acceptLocked(job int, payload []byte) {
-	c.payloads[job] = payload
+	c.led.Record(job, payload)
 	c.state[job] = stateDone
-	c.done++
 	c.jobsCompleted.Inc()
 	c.cfg.Progress.Add(1)
-	if c.writer != nil {
-		c.writer.Commit(job, payload)
-	}
 }
 
 // recordFailureLocked books one permanent-failure report against a job:
@@ -508,7 +489,7 @@ func (c *Coordinator) recordFailureLocked(job, attempts int, err error) {
 	c.jobsFailed.Inc()
 	je := &engine.JobError{Job: job, Name: c.jobName(job), Attempts: c.failReports[job] * maxInt(attempts, 1), Err: err}
 	if c.cfg.KeepGoing {
-		c.failed[job] = je
+		c.led.Fail(je)
 		return
 	}
 	if c.fatal == nil {
@@ -597,14 +578,14 @@ func (c *Coordinator) reapLocked(now time.Time) {
 }
 
 // Wait blocks until every job is resolved, a job exhausts its budget
-// without KeepGoing, or ctx is cancelled, then flushes the final
-// snapshot and assembles the result. The contract mirrors engine.Run:
-// ctx.Err() after an interruption (the partial result is valid and the
-// snapshot resumable), a joined multi-error of engine.JobError values
-// after a degraded keep-going run, an engine.SnapshotError joined in
-// when the final snapshot could not be persisted, the fatal job error
-// otherwise. After Wait returns, lease requests answer StatusDone, so
-// surviving workers drain and exit cleanly.
+// without KeepGoing, or ctx is cancelled, then settles the ledger
+// exactly as engine.Run does (engine.Ledger.Close): ctx.Err() after an
+// interruption (the partial result is valid and the snapshot
+// resumable), a joined multi-error of engine.JobError values after a
+// degraded keep-going run, an engine.SnapshotError joined in when the
+// final snapshot could not be persisted, the fatal job error otherwise.
+// After Wait returns, lease requests answer StatusDone, so surviving
+// workers drain and exit cleanly.
 func (c *Coordinator) Wait(ctx context.Context) (*engine.Result, error) {
 	reap := c.cfg.LeaseTTL / 4
 	if reap > 250*time.Millisecond {
@@ -630,51 +611,13 @@ loop:
 		}
 	}
 
+	// Once stopped, no handler touches the ledger again: late results
+	// are dropped, and a resumed coordinator re-issues their jobs.
 	c.mu.Lock()
 	c.stopped = true
-	res := &engine.Result{
-		Payloads: c.payloads,
-		Restored: c.restored,
-		Fresh:    c.done - c.restored,
-	}
-	runErr := c.fatal
-	if len(c.failed) > 0 {
-		failed := make([]*engine.JobError, 0, len(c.failed))
-		for _, je := range c.failed {
-			failed = append(failed, je)
-		}
-		sort.Slice(failed, func(a, b int) bool { return failed[a].Job < failed[b].Job })
-		res.Failed = failed
-		if runErr == nil {
-			errs := make([]error, len(failed))
-			for i, fe := range failed {
-				errs[i] = fe
-			}
-			runErr = errors.Join(errs...)
-		}
-	}
-	complete := c.done == c.cfg.NumJobs
+	fatal := c.fatal
 	c.mu.Unlock()
-
-	if c.writer != nil {
-		if ferr := c.writer.Flush(); ferr != nil {
-			serr := &engine.SnapshotError{Err: ferr}
-			if runErr == nil {
-				runErr = serr
-			} else {
-				runErr = errors.Join(runErr, serr)
-			}
-		}
-		if runErr == nil && ctx.Err() == nil && complete {
-			if rerr := ckpt.RemoveGenerations(c.cfg.Checkpoint.Path); rerr != nil {
-				fmt.Fprintf(c.logw, "checkpoint: completed but could not remove %s: %v\n", c.cfg.Checkpoint.Path, rerr)
-			}
-		}
-	}
-	if runErr != nil {
-		return res, runErr
-	}
-	return res, ctx.Err()
+	return c.led.Close(ctx, fatal)
 }
 
 func maxInt(a, b int) int {

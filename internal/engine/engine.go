@@ -1,19 +1,22 @@
-// Package engine is the single execution path shared by every
-// experiment mode of the toolchain: a run is a list of deterministic
-// Jobs (one Monte-Carlo block, one sweep cell, one figure), and the
-// engine owns everything around them — worker sharding, per-job rng
-// substreams, cooperative cancellation with a graceful drain, durable
+// Package engine is the single execution path of the toolchain: every
+// Monte-Carlo entry point of internal/sim, every experiment mode of the
+// CLIs, and every figure runs as a list of deterministic Jobs (one
+// Monte-Carlo block, one sweep cell, one figure), and the engine owns
+// everything around them — worker sharding, per-job rng substreams,
+// cooperative cancellation with a graceful drain, durable
 // snapshot/restore at job granularity (internal/ckpt), atomic artifact
 // writing (internal/atomicio), and obs instrumentation.
 //
-// The determinism contract mirrors the sharded Monte-Carlo runners the
-// engine generalizes: a Job must depend only on the spec configuration
-// and the rng substream it is handed, so its payload bytes are a pure
-// function of (config, seed, stream). Payloads are merged by the caller
-// in job order, which makes the final result bit-identical for any
-// worker count — and makes a completed job a resumable unit: restoring
-// committed payloads from a snapshot and recomputing only the missing
-// jobs reproduces an uninterrupted run exactly.
+// The determinism contract: a Job must depend only on the spec
+// configuration and the rng substream it is handed, so its payload
+// bytes are a pure function of (config, seed, stream). Payloads are
+// merged by the caller in job order, which makes the final result
+// bit-identical for any worker count — and makes a completed job a
+// resumable unit: restoring committed payloads from a snapshot and
+// recomputing only the missing jobs reproduces an uninterrupted run
+// exactly. The books of a fixed grid (payloads, restores, keep-going
+// failures, the final flush) live in a Ledger, which the distributed
+// coordinator (internal/distrun) keeps too.
 //
 // Run executes a fixed job grid. RunStream generalizes it to a lazy,
 // possibly unbounded JobSource drained into an ordered StreamSink —
@@ -30,13 +33,11 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"reskit/internal/atomicio"
-	"reskit/internal/ckpt"
 	"reskit/internal/obs"
 	"reskit/internal/rng"
 )
@@ -160,12 +161,11 @@ func (r *Result) Total() int { return len(r.Payloads) }
 // restored payload, artifact write error).
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	n := len(spec.Jobs)
-	res := &Result{Payloads: make([][]byte, n)}
 	if err := spec.Failure.validate(); err != nil {
-		return res, err
+		return &Result{Payloads: make([][]byte, n)}, err
 	}
 	if n == 0 {
-		return res, ctx.Err()
+		return &Result{Payloads: make([][]byte, n)}, ctx.Err()
 	}
 	workers := spec.Workers
 	if workers <= 0 {
@@ -174,43 +174,26 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if workers > n {
 		workers = n
 	}
-	logw := spec.Log
-	if logw == nil {
-		logw = io.Discard
-	}
 	spec.Reg.Gauge("engine.jobs_total").Set(float64(n))
 	doneCtr := spec.Reg.Counter("engine.jobs_done")
 
-	var writer *ckpt.Writer
-	skip := make([]bool, n)
-	if spec.Checkpoint.Path != "" {
-		st := ckpt.New(ckpt.KindJobs, spec.Fingerprint, spec.Seed, int64(n), 1)
-		if spec.Checkpoint.Resume {
-			if loaded := loadResumable(logw, spec.Checkpoint.Path, spec.Fingerprint, spec.Seed, int64(n)); loaded != nil {
-				st = loaded
-			}
-		}
-		writer = ckpt.NewWriter(spec.Checkpoint.Path, spec.Checkpoint.Interval, st)
-		writer.Instrument(spec.Reg)
-		writer.LogTo(logw)
-		restoredCtr := spec.Reg.Counter("engine.jobs_restored")
-		for i := 0; i < n; i++ {
-			payload := writer.Restore(i)
-			if payload == nil {
-				continue
-			}
-			if spec.Check != nil {
-				if err := spec.Check(i, payload); err != nil {
-					return res, fmt.Errorf("engine: restoring job %d (%s): %w", i, spec.Jobs[i].Name, err)
-				}
-			}
-			res.Payloads[i] = payload
-			skip[i] = true
-			res.Restored++
-			restoredCtr.Inc()
-			spec.Progress.Add(1)
-		}
+	led, err := OpenLedger(LedgerSpec{
+		NumJobs:     n,
+		Seed:        spec.Seed,
+		Fingerprint: spec.Fingerprint,
+		Checkpoint:  spec.Checkpoint,
+		Check:       spec.Check,
+		JobName:     func(i int) string { return spec.Jobs[i].Name },
+		Log:         spec.Log,
+		Reg:         spec.Reg,
+	})
+	if err != nil {
+		return &Result{Payloads: make([][]byte, n)}, fmt.Errorf("engine: %w", err)
 	}
+	if spec.Checkpoint.Path != "" {
+		spec.Reg.Counter("engine.jobs_restored").Add(int64(led.Restored()))
+	}
+	spec.Progress.Add(int64(led.Restored()))
 
 	// A real job failure cancels the run; the first one wins. Context
 	// errors are interruption, not failure — unless the job invented
@@ -238,16 +221,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 
 	pol := spec.Failure
 	failedCtr := spec.Reg.Counter("engine.jobs_failed")
-	// Permanent keep-going failures are recorded off the hot path; the
-	// slice is sorted into job order once the workers are done.
-	var (
-		failedMu sync.Mutex
-		failed   []*JobError
-	)
 
-	var fresh atomic.Int64
-	jobs := make(chan int)
-	done := jobCtx.Done()
+	// Workers pull job indices off a shared counter, in job order, so
+	// no goroutine hands jobs over; once the run is cancelled they stop
+	// pulling and drain at the next job boundary.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -257,20 +235,27 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 			// attempt) — state identical to a fresh NewStream, with no
 			// per-job allocation. jit is backoff-jitter scratch; it
 			// never touches the job substream.
-			var src, jit rng.Source
-			for i := range jobs {
+			var ws workerSource
+			var jit rng.Source
+			for jobCtx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if led.Recorded(i) {
+					continue // restored from the snapshot
+				}
 				job := spec.Jobs[i]
-				jr, attempts, verdict, jerr := ex.runJob(jobCtx, i, &job, &src, &jit)
+				jr, attempts, verdict, jerr := ex.runJob(jobCtx, i, &job, &ws.src, &jit)
 				switch verdict {
 				case jobDrained:
 					return // drained cleanly at a job boundary
 				case jobFailed:
 					if pol.KeepGoing {
+						// The payload slot stays nil; the run keeps going.
 						failedCtr.Inc()
-						failedMu.Lock()
-						failed = append(failed, &JobError{Job: i, Name: job.Name, Attempts: attempts, Err: jerr})
-						failedMu.Unlock()
-						continue // payload slot stays nil; the run keeps going
+						led.Fail(&JobError{Job: i, Name: job.Name, Attempts: attempts, Err: jerr})
+						continue
 					}
 					fail(wrapJobErr(i, job.Name, attempts, jerr))
 					return
@@ -280,119 +265,19 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 					fail(wrapJobErr(i, job.Name, attempts, jerr))
 					return
 				}
-				res.Payloads[i] = jr.Payload // distinct index per job: no races
-				if writer != nil {
-					writer.Commit(i, jr.Payload)
-				}
-				fresh.Add(1)
+				led.Record(i, jr.Payload) // distinct index per job: no races
 				doneCtr.Inc()
 				spec.Progress.Add(1)
 			}
 		}()
 	}
-dispatch:
-	for i := 0; i < n; i++ {
-		if skip[i] {
-			continue
-		}
-		select {
-		case jobs <- i:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(jobs)
 	wg.Wait()
-	res.Fresh = int(fresh.Load())
 	if spec.Reg != nil {
 		if elapsed := time.Since(runStart).Seconds(); elapsed > 0 {
-			spec.Reg.Gauge("engine.jobs_per_sec").Set(float64(res.Fresh) / elapsed)
+			spec.Reg.Gauge("engine.jobs_per_sec").Set(float64(led.Done()-led.Restored()) / elapsed)
 		}
 	}
-
-	// A degraded keep-going run reports every permanent failure as one
-	// structured multi-error; the failed jobs stay out of the snapshot,
-	// so a later resume retries exactly them.
-	if len(failed) > 0 {
-		sort.Slice(failed, func(a, b int) bool { return failed[a].Job < failed[b].Job })
-		res.Failed = failed
-		if jobErr == nil {
-			errs := make([]error, len(failed))
-			for i, fe := range failed {
-				errs[i] = fe
-			}
-			jobErr = errors.Join(errs...)
-		}
-	}
-
-	if writer != nil {
-		// The final snapshot is flushed on every path — interrupted,
-		// degraded, even failed — because whatever jobs did commit are
-		// worth keeping; and the writer's verdict is surfaced on every
-		// path too, so an exit that advertises a resumable state cannot
-		// be hiding a dead disk.
-		if ferr := writer.Flush(); ferr != nil {
-			serr := &SnapshotError{Err: ferr}
-			if jobErr == nil {
-				jobErr = serr
-			} else {
-				jobErr = errors.Join(jobErr, serr)
-			}
-		}
-		if jobErr == nil && ctx.Err() == nil && res.Done() == n {
-			// The run completed: the snapshots have served their purpose,
-			// and leaving them around would only invite a stale resume
-			// later.
-			if rerr := ckpt.RemoveGenerations(spec.Checkpoint.Path); rerr != nil {
-				fmt.Fprintf(logw, "checkpoint: completed but could not remove %s: %v\n", spec.Checkpoint.Path, rerr)
-			}
-		}
-	}
-	if jobErr != nil {
-		return res, jobErr
-	}
-	return res, ctx.Err()
-}
-
-// ResumableState returns the newest usable KindJobs snapshot generation
-// for a run with the given identity — the head, or the rotated previous
-// generation when the head is missing, corrupt, or belongs to a
-// different run — logging every fallback to logw. nil means no
-// generation is usable and the run must start fresh. It is the same
-// logic Run applies under Checkpoint.Resume, exported so alternative
-// executors of a job grid (the distributed coordinator) share one
-// resume policy with the local engine — including snapshot
-// interchangeability: either side resumes the other's file.
-func ResumableState(logw io.Writer, path string, fingerprint, seed uint64, n int64) *ckpt.State {
-	if logw == nil {
-		logw = io.Discard
-	}
-	return loadResumable(logw, path, fingerprint, seed, n)
-}
-
-// loadResumable returns the newest usable snapshot generation for this
-// run — the head, or the rotated previous generation when the head is
-// missing, corrupt, or belongs to a different run — logging every
-// fallback. nil means no generation is usable and the run starts fresh.
-func loadResumable(logw io.Writer, path string, fingerprint, seed uint64, n int64) *ckpt.State {
-	for _, p := range []string{path, ckpt.PrevGeneration(path)} {
-		loaded, lerr := ckpt.Load(p)
-		switch {
-		case errors.Is(lerr, os.ErrNotExist):
-			continue
-		case lerr != nil:
-			fmt.Fprintf(logw, "resume: snapshot unusable at %s (%v)\n", p, lerr)
-			continue
-		}
-		if cerr := loaded.Check(ckpt.KindJobs, fingerprint, seed, n, 1); cerr != nil {
-			fmt.Fprintf(logw, "resume: snapshot at %s does not match this run (%v)\n", p, cerr)
-			continue
-		}
-		fmt.Fprintf(logw, "resume: restoring %d/%d jobs from %s\n", loaded.Done(), loaded.NumBlocks, p)
-		return loaded
-	}
-	fmt.Fprintf(logw, "resume: no usable snapshot at %s; starting fresh\n", path)
-	return nil
+	return led.Close(ctx, jobErr)
 }
 
 // runAttempt executes one attempt of a job under the per-attempt

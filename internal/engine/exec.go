@@ -27,6 +27,16 @@ const (
 	jobFabricated
 )
 
+// workerSource is one worker's job substream. Jobs take the source by
+// pointer, so it lives on the heap, and it is written on every draw:
+// the padding keeps two workers' sources off a shared cache line, which
+// would otherwise bounce between cores on every variate.
+type workerSource struct {
+	_   [64]byte
+	src rng.Source
+	_   [64]byte
+}
+
 // executor bundles the per-run pieces every worker shares — the
 // reproducibility contract (seed), the failure policy, and the attempt
 // instruments — so the fixed-grid Run and the streaming RunStream drive

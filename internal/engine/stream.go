@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -145,7 +144,9 @@ func RunStream(ctx context.Context, spec StreamSpec) (*StreamResult, error) {
 	if spec.Checkpoint.Path != "" {
 		st := ckpt.NewStream(spec.Fingerprint, spec.Seed)
 		if spec.Checkpoint.Resume {
-			if loaded := loadResumableStream(logw, spec.Checkpoint.Path, spec.Fingerprint, spec.Seed); loaded != nil {
+			check := func(s *ckpt.State) error { return s.CheckStream(spec.Fingerprint, spec.Seed) }
+			describe := func(s *ckpt.State) string { return fmt.Sprintf("stream frontier %d", s.Frontier()) }
+			if loaded := loadResumable(logw, spec.Checkpoint.Path, check, describe); loaded != nil {
 				if err := spec.Sink.Restore(loaded.StreamState()); err != nil {
 					return res, fmt.Errorf("engine: restoring stream sink at frontier %d: %w", loaded.Frontier(), err)
 				}
@@ -203,9 +204,10 @@ func RunStream(ctx context.Context, spec StreamSpec) (*StreamResult, error) {
 			defer wg.Done()
 			// One Source per worker, reinitialized per attempt; jit is
 			// backoff-jitter scratch that never touches job substreams.
-			var src, jit rng.Source
+			var ws workerSource
+			var jit rng.Source
 			for d := range jobsCh {
-				jr, attempts, verdict, jerr := ex.runJob(jobCtx, d.i, &d.job, &src, &jit)
+				jr, attempts, verdict, jerr := ex.runJob(jobCtx, d.i, &d.job, &ws.src, &jit)
 				resCh <- outcome{i: d.i, name: d.job.Name, jr: jr, verdict: verdict, attempts: attempts, err: jerr}
 			}
 		}()
@@ -335,58 +337,12 @@ func RunStream(ctx context.Context, spec StreamSpec) (*StreamResult, error) {
 		}
 	}
 
-	if writer != nil {
-		// The final snapshot is flushed on every path — interrupted,
-		// stopped, even failed — because the committed prefix is worth
-		// keeping; and the writer's verdict is surfaced on every path,
-		// so an exit advertising a resumable state cannot be hiding a
-		// dead disk.
-		snapshot(true)
-		if ferr := writer.Flush(); ferr != nil {
-			serr := &SnapshotError{Err: ferr}
-			if jobErr == nil {
-				jobErr = serr
-			} else {
-				jobErr = errors.Join(jobErr, serr)
-			}
-		}
-		if jobErr == nil && ctx.Err() == nil && (stopped || res.Exhausted) {
-			// The run reached its natural end: the snapshots have served
-			// their purpose, and leaving them around would only invite a
-			// stale resume later.
-			if rerr := ckpt.RemoveGenerations(spec.Checkpoint.Path); rerr != nil {
-				fmt.Fprintf(logw, "checkpoint: completed but could not remove %s: %v\n", spec.Checkpoint.Path, rerr)
-			}
-		}
-	}
+	// The final snapshot is flushed on every path — interrupted, stopped,
+	// even failed — because the committed prefix is worth keeping.
+	snapshot(true)
+	jobErr = settleSnapshot(ctx, writer, spec.Checkpoint.Path, logw, jobErr, stopped || res.Exhausted)
 	if jobErr != nil {
 		return res, jobErr
 	}
 	return res, ctx.Err()
-}
-
-// loadResumableStream returns the newest usable stream snapshot
-// generation for this run — the head, or the rotated previous
-// generation when the head is missing, corrupt, or belongs to a
-// different run — logging every fallback. nil means no generation is
-// usable and the run starts fresh.
-func loadResumableStream(logw io.Writer, path string, fingerprint, seed uint64) *ckpt.State {
-	for _, p := range []string{path, ckpt.PrevGeneration(path)} {
-		loaded, lerr := ckpt.Load(p)
-		switch {
-		case errors.Is(lerr, os.ErrNotExist):
-			continue
-		case lerr != nil:
-			fmt.Fprintf(logw, "resume: snapshot unusable at %s (%v)\n", p, lerr)
-			continue
-		}
-		if cerr := loaded.CheckStream(fingerprint, seed); cerr != nil {
-			fmt.Fprintf(logw, "resume: snapshot at %s does not match this run (%v)\n", p, cerr)
-			continue
-		}
-		fmt.Fprintf(logw, "resume: restoring stream frontier %d from %s\n", loaded.Frontier(), p)
-		return loaded
-	}
-	fmt.Fprintf(logw, "resume: no usable snapshot at %s; starting fresh\n", path)
-	return nil
 }

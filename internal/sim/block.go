@@ -4,21 +4,26 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"strconv"
 
 	"reskit/internal/core"
+	"reskit/internal/engine"
 	"reskit/internal/rng"
 	"reskit/internal/stats"
 )
 
-// Block-granular access to the sharded Monte-Carlo runners, shaped for
-// the job engine (internal/engine): a run of `trials` trials is a fixed
-// grid of blocks, block b always simulates trials [b*blockSize, ...)
-// on rng substream b, and each *BlockPayload function runs exactly one
-// block on a caller-provided source, returning the block's partial
-// aggregate as bit-exact opaque bytes. Merging payloads in block order
-// (Merge*Payloads) reproduces the corresponding MonteCarlo* aggregate
-// bit-identically — for any schedule, any worker count, and any mix of
-// restored and recomputed blocks.
+// Every Monte-Carlo in this package runs on the job engine
+// (internal/engine): a run of `trials` trials is a fixed grid of
+// blocks, block b always simulates trials [b*blockSize, ...) on rng
+// substream b, and each *BlockPayload function runs exactly one block
+// on a caller-provided source, returning the block's partial aggregate
+// as bit-exact opaque bytes. Merging payloads in block order
+// (Merge*Payloads) reproduces the aggregate bit-identically — for any
+// schedule, any worker count, and any mix of restored and recomputed
+// blocks. The *Jobs constructors are the one place a block becomes an
+// engine.Job; the MonteCarlo* entry points and every CLI build their
+// grids through them.
 
 // NumMonteCarloBlocks returns the block-grid size of the
 // per-reservation runners (MonteCarlo*, MonteCarloPreemptible*).
@@ -36,6 +41,65 @@ func NumCampaignBlocks(trials int) int {
 		return 0
 	}
 	return (trials + campaignBlockSize - 1) / campaignBlockSize
+}
+
+// MonteCarloJobs appends the block grid of a per-reservation
+// Monte-Carlo (RunOracle when oracle is set, Run otherwise) to jobs.
+func MonteCarloJobs(jobs []engine.Job, prefix string, cfg Config, trials int, oracle bool) []engine.Job {
+	return appendBlockJobs(jobs, prefix, NumMonteCarloBlocks(trials), func(ctx context.Context, b int, src *rng.Source) ([]byte, error) {
+		return MonteCarloBlockPayload(ctx, cfg, trials, b, oracle, src)
+	})
+}
+
+// CampaignJobs appends the block grid of a campaign Monte-Carlo to jobs.
+func CampaignJobs(jobs []engine.Job, prefix string, cfg CampaignConfig, trials int) []engine.Job {
+	return appendBlockJobs(jobs, prefix, NumCampaignBlocks(trials), func(ctx context.Context, b int, src *rng.Source) ([]byte, error) {
+		return CampaignBlockPayload(ctx, cfg, trials, b, src)
+	})
+}
+
+// PreemptibleJobs appends the block grid of a preemptible-scenario
+// Monte-Carlo (lead time x, or the clairvoyant policy when oracle is
+// set) to jobs.
+func PreemptibleJobs(jobs []engine.Job, prefix string, p *core.Preemptible, x float64, oracle bool, trials int) []engine.Job {
+	return appendBlockJobs(jobs, prefix, NumMonteCarloBlocks(trials), func(ctx context.Context, b int, src *rng.Source) ([]byte, error) {
+		return PreemptibleBlockPayload(ctx, p, x, oracle, trials, b, src)
+	})
+}
+
+// appendBlockJobs appends one job per block: job b is named
+// prefix+"block<b>" and draws rng substream b. Several grids may share
+// one job list (a row per strategy or MTBF); block b of every row draws
+// stream b, exactly as a standalone run of that row would.
+func appendBlockJobs(jobs []engine.Job, prefix string, numBlocks int,
+	payload func(ctx context.Context, b int, src *rng.Source) ([]byte, error)) []engine.Job {
+
+	for b := 0; b < numBlocks; b++ {
+		jobs = append(jobs, engine.Job{
+			Name:   prefix + "block" + strconv.Itoa(b),
+			Stream: uint64(b),
+			Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
+				data, err := payload(ctx, b, src)
+				return engine.JobResult{Payload: data}, err
+			},
+		})
+	}
+	return jobs
+}
+
+// runBlocks executes a block grid on the engine and merges the
+// payloads in block order. Blocks are all-or-nothing: after a
+// cancellation the aggregate covers exactly the completed blocks and
+// the error is ctx.Err().
+func runBlocks[A any](ctx context.Context, jobs []engine.Job, seed uint64, workers int,
+	merge func([][]byte) (A, error)) (A, error) {
+
+	res, err := engine.Run(ctx, engine.Spec{Jobs: jobs, Seed: seed, Workers: workers})
+	agg, merr := merge(res.Payloads)
+	if merr != nil {
+		return agg, merr
+	}
+	return agg, err
 }
 
 // MonteCarloBlockPayload runs block `block` of a per-reservation
@@ -172,6 +236,82 @@ func MergePreemptiblePayloads(payloads [][]byte) (PreemptibleAggregate, error) {
 func CheckPreemptiblePayload(data []byte) error {
 	var p preemptPartial
 	return decodePreemptPartial(data, &p)
+}
+
+// aggregateWireSize is the exact encoded size of an Aggregate: seven
+// summaries plus four int64 tallies.
+const aggregateWireSize = 7*stats.SummaryWireSize + 4*8
+
+// encodeAggregate serializes one block's aggregate bit-exactly (floats
+// as IEEE-754 bit patterns, little-endian).
+func encodeAggregate(a *Aggregate) []byte {
+	b := make([]byte, 0, aggregateWireSize)
+	b = a.Saved.AppendBinary(b)
+	b = a.Lost.AppendBinary(b)
+	b = a.Tasks.AppendBinary(b)
+	b = a.Checkpoints.AppendBinary(b)
+	b = a.Failures.AppendBinary(b)
+	b = a.CkptFaults.AppendBinary(b)
+	b = a.TimeUsed.AppendBinary(b)
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.FailedRuns))
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.RevokedRuns))
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.ZeroRuns))
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.Trials))
+	return b
+}
+
+// decodeAggregate restores one block's aggregate from its wire image.
+func decodeAggregate(data []byte, a *Aggregate) error {
+	if len(data) != aggregateWireSize {
+		return fmt.Errorf("sim: aggregate payload is %d bytes, want %d", len(data), aggregateWireSize)
+	}
+	off := 0
+	for _, s := range []*stats.Summary{
+		&a.Saved, &a.Lost, &a.Tasks, &a.Checkpoints, &a.Failures, &a.CkptFaults, &a.TimeUsed,
+	} {
+		if err := s.UnmarshalBinary(data[off : off+stats.SummaryWireSize]); err != nil {
+			return err
+		}
+		off += stats.SummaryWireSize
+	}
+	a.FailedRuns = int64(binary.LittleEndian.Uint64(data[off:]))
+	a.RevokedRuns = int64(binary.LittleEndian.Uint64(data[off+8:]))
+	a.ZeroRuns = int64(binary.LittleEndian.Uint64(data[off+16:]))
+	a.Trials = int64(binary.LittleEndian.Uint64(data[off+24:]))
+	return nil
+}
+
+// campaignPartialWireSize is the exact encoded size of a
+// campaignPartial: six float64 running sums plus two int64 counts.
+const campaignPartialWireSize = 6*8 + 2*8
+
+// encodeCampaignPartial serializes one block's campaign sums bit-exactly.
+func encodeCampaignPartial(p *campaignPartial) []byte {
+	b := make([]byte, 0, campaignPartialWireSize)
+	for _, v := range []float64{p.res, p.util, p.lost, p.ckptFaults, p.crashes, p.revoked} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.completed))
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.trials))
+	return b
+}
+
+// decodeCampaignPartial restores one block's campaign sums.
+func decodeCampaignPartial(data []byte, p *campaignPartial) error {
+	if len(data) != campaignPartialWireSize {
+		return fmt.Errorf("sim: campaign payload is %d bytes, want %d", len(data), campaignPartialWireSize)
+	}
+	for i, f := range []*float64{&p.res, &p.util, &p.lost, &p.ckptFaults, &p.crashes, &p.revoked} {
+		*f = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	completed := int64(binary.LittleEndian.Uint64(data[48:]))
+	trials := int64(binary.LittleEndian.Uint64(data[56:]))
+	if completed < 0 || trials < 0 || completed > trials {
+		return fmt.Errorf("sim: campaign payload counts inconsistent (completed=%d, trials=%d)", completed, trials)
+	}
+	p.completed = int(completed)
+	p.trials = int(trials)
+	return nil
 }
 
 // preemptPartialWireSize is the exact encoded size of a preemptPartial:

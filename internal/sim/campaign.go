@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"reskit/internal/rng"
 )
@@ -155,12 +154,13 @@ type campaignPartial struct {
 	trials              int
 }
 
-// MonteCarloCampaign runs `trials` independent campaigns of cfg across
-// `workers` goroutines (Workers() when workers <= 0) and averages the
-// headline metrics. Trials are partitioned into fixed-size blocks, each
-// drawing from its own rng substream of seed, and block sums are reduced
-// in deterministic order — the aggregate depends only on (cfg, trials,
-// seed), never on the worker count or goroutine scheduling.
+// MonteCarloCampaign runs `trials` independent campaigns of cfg on the
+// job engine across `workers` goroutines (Workers() when workers <= 0)
+// and averages the headline metrics. Trials are partitioned into
+// fixed-size blocks, each drawing from its own rng substream of seed,
+// and block sums are reduced in deterministic order — the aggregate
+// depends only on (cfg, trials, seed), never on the worker count or
+// goroutine scheduling.
 func MonteCarloCampaign(cfg CampaignConfig, trials int, seed uint64, workers int) CampaignAggregate {
 	agg, _ := MonteCarloCampaignContext(context.Background(), cfg, trials, seed, workers)
 	return agg
@@ -169,86 +169,13 @@ func MonteCarloCampaign(cfg CampaignConfig, trials int, seed uint64, workers int
 // MonteCarloCampaignContext is MonteCarloCampaign with cooperative
 // cancellation: when ctx is cancelled (or its deadline passes), workers
 // stop at the next reservation boundary — within milliseconds — and the
-// call returns the well-formed aggregate of every fully completed trial
-// alongside ctx.Err(). Trials interrupted mid-campaign are discarded so
-// the averages stay exact. Without cancellation the result is
-// bit-identical to MonteCarloCampaign and the error is nil.
+// call returns the well-formed aggregate of every completed block
+// alongside ctx.Err(). Interrupted blocks are discarded whole so the
+// averages stay exact. Without cancellation the result is bit-identical
+// to MonteCarloCampaign and the error is nil.
 func MonteCarloCampaignContext(ctx context.Context, cfg CampaignConfig, trials int, seed uint64, workers int) (CampaignAggregate, error) {
-	return monteCarloCampaignRunner(ctx, cfg, trials, seed, workers, nil)
-}
-
-func monteCarloCampaignRunner(ctx context.Context, cfg CampaignConfig, trials int, seed uint64, workers int, ck Checkpointer) (CampaignAggregate, error) {
 	cfg.validate()
-	if trials <= 0 {
-		return CampaignAggregate{}, ctx.Err()
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-
-	numBlocks := (trials + campaignBlockSize - 1) / campaignBlockSize
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	done := ctx.Done()
-	ob := cfg.Reservation.Obs
-	parts := make([]campaignPartial, numBlocks)
-	// Blocks persisted by a previous interrupted run are restored into
-	// parts and never dispatched; only the missing blocks are simulated.
-	restored, rerr := restoreBlocks(ck, numBlocks, func(b int, data []byte) error {
-		return decodeCampaignPartial(data, &parts[b])
-	})
-	if rerr != nil {
-		return CampaignAggregate{}, rerr
-	}
-	blocks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One Source per worker, reinitialized per block — state
-			// identical to a fresh NewStream, with no per-block
-			// allocation.
-			var src rng.Source
-			for b := range blocks {
-				src.Reinit(seed, uint64(b))
-				p, complete := runCampaignBlock(cfg, trials, b, &src, done)
-				parts[b] = p
-				// Interrupted blocks keep their partial sums in the
-				// returned aggregate but are never committed: a resume
-				// re-runs the whole block on its own rng substream.
-				if complete && ck != nil {
-					ck.Commit(b, encodeCampaignPartial(&p))
-				}
-				ob.tickBlock()
-			}
-		}()
-	}
-dispatch:
-	for b := 0; b < numBlocks; b++ {
-		if restored != nil && restored[b] {
-			continue
-		}
-		select {
-		case blocks <- b:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(blocks)
-	wg.Wait()
-
-	var agg CampaignAggregate
-	var sum campaignPartial
-	for _, p := range parts {
-		sum.add(p)
-	}
-	agg.Trials = sum.trials
-	if sum.trials > 0 {
-		finalizeCampaignAggregate(&agg, &sum)
-	}
-	return agg, ctx.Err()
+	return runBlocks(ctx, CampaignJobs(nil, "", cfg, trials), seed, workers, MergeCampaignPayloads)
 }
 
 // runCampaignBlock simulates the campaign trials of block b

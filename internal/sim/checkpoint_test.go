@@ -2,47 +2,69 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
+	"reskit/internal/ckpt"
 	"reskit/internal/core"
+	"reskit/internal/engine"
+	"reskit/internal/rng"
 	"reskit/internal/strategy"
 )
 
-// memCkpt is an in-memory Checkpointer that optionally cancels the run
-// after a given number of block commits — simulating a kill at an
-// arbitrary block boundary.
-type memCkpt struct {
-	mu          sync.Mutex
-	blocks      map[int][]byte
-	commits     int
-	cancelAfter int
-	cancel      context.CancelFunc
-}
-
-func newMemCkpt() *memCkpt { return &memCkpt{blocks: make(map[int][]byte)} }
-
-func (m *memCkpt) Restore(b int) []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.blocks[b]
-}
-
-func (m *memCkpt) Commit(b int, payload []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.blocks[b] = append([]byte(nil), payload...)
-	m.commits++
-	if m.cancelAfter > 0 && m.commits == m.cancelAfter && m.cancel != nil {
-		m.cancel()
+// killAfter wraps jobs so the run is cancelled as soon as n of them have
+// completed — a kill at an arbitrary block boundary. The completing job
+// still returns its payload, so the engine commits it.
+func killAfter(jobs []engine.Job, n int64, cancel context.CancelFunc) []engine.Job {
+	var done atomic.Int64
+	out := make([]engine.Job, len(jobs))
+	for i, j := range jobs {
+		run := j.Run
+		j.Run = func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
+			jr, err := run(ctx, src)
+			if err == nil && done.Add(1) == n {
+				cancel()
+			}
+			return jr, err
+		}
+		out[i] = j
 	}
+	return out
 }
 
-func (m *memCkpt) done() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.blocks)
+// runSnapshotted runs jobs on the engine with a resumable snapshot at
+// path, restoring whatever the snapshot already holds.
+func runSnapshotted(ctx context.Context, jobs []engine.Job, seed uint64, workers int, path string,
+	check func(int, []byte) error) (*engine.Result, error) {
+
+	return engine.Run(ctx, engine.Spec{
+		Jobs:       jobs,
+		Seed:       seed,
+		Workers:    workers,
+		Checkpoint: engine.Checkpoint{Path: path, Resume: true},
+		Check:      check,
+	})
+}
+
+// copySnapshot duplicates the snapshot at src into a fresh file, so one
+// interrupted run can be resumed several times (a completed resume
+// removes its snapshot).
+func copySnapshot(t *testing.T, src string) string {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(t.TempDir(), "copy.ckpt")
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dst
 }
 
 func ckptCampaignConfig() CampaignConfig {
@@ -59,42 +81,53 @@ func ckptCampaignConfig() CampaignConfig {
 	}
 }
 
+func checkMC(_ int, data []byte) error       { return CheckMonteCarloPayload(data) }
+func checkCampaign(_ int, data []byte) error { return CheckCampaignPayload(data) }
+
 // TestMonteCarloKillAndResumeBitIdentical is the acceptance property of
-// the checkpoint layer for the per-reservation runner: interrupt at an
-// arbitrary block boundary, resume from the persisted blocks, and the
-// final aggregate is bit-identical to an uninterrupted run — for any
+// the durable layer for the per-reservation grid: interrupt at an
+// arbitrary block boundary, resume from the snapshot, and the merged
+// aggregate is bit-identical to an uninterrupted MonteCarlo — for any
 // worker count on either side of the interruption.
 func TestMonteCarloKillAndResumeBitIdentical(t *testing.T) {
 	cfg := fig8Config(strategy.NewStatic(4))
 	const trials = 5*mcBlockSize + 123 // 6 blocks, last one ragged
 	const seed = 11
 	want := MonteCarlo(cfg, trials, seed, 0)
+	jobs := MonteCarloJobs(nil, "", cfg, trials, false)
 
 	for _, workers := range []int{1, 4, 8} {
-		for _, killAfter := range []int{1, 3, 5} {
-			ck := newMemCkpt()
+		for _, kill := range []int64{1, 3, 5} {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
 			ctx, cancel := context.WithCancel(context.Background())
-			ck.cancelAfter, ck.cancel = killAfter, cancel
-			_, err := MonteCarloCheckpointed(ctx, cfg, trials, seed, workers, ck)
+			res, err := runSnapshotted(ctx, killAfter(jobs, kill, cancel), seed, workers, path, checkMC)
 			cancel()
-			if err == nil && ck.done() < 6 {
-				t.Fatalf("workers=%d kill=%d: interrupted run reported no error with %d blocks", workers, killAfter, ck.done())
-			}
-			if ck.done() >= 6 {
+			if res.Done() == len(jobs) {
 				// The whole run finished before the cancel landed; the
 				// resume below still must reproduce the reference.
-				t.Logf("workers=%d kill=%d: run completed before interruption", workers, killAfter)
+				t.Logf("workers=%d kill=%d: run completed before interruption", workers, kill)
+				continue
+			}
+			if err == nil {
+				t.Fatalf("workers=%d kill=%d: interrupted run reported no error with %d blocks", workers, kill, res.Done())
 			}
 
 			for _, resumeWorkers := range []int{1, 4, 8} {
-				ck.cancelAfter = 0
-				got, err := MonteCarloCheckpointed(context.Background(), cfg, trials, seed, resumeWorkers, ck)
+				rpath := copySnapshot(t, path)
+				got, err := runSnapshotted(context.Background(), jobs, seed, resumeWorkers, rpath, checkMC)
 				if err != nil {
 					t.Fatalf("resume: %v", err)
 				}
-				if got != want {
+				if got.Restored != res.Done() {
+					t.Errorf("workers=%d kill=%d: restored %d blocks, want %d", workers, kill, got.Restored, res.Done())
+				}
+				agg, err := MergeMonteCarloPayloads(got.Payloads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if agg != want {
 					t.Errorf("workers=%d kill=%d resumeWorkers=%d: resumed aggregate differs:\n got %+v\nwant %+v",
-						workers, killAfter, resumeWorkers, got, want)
+						workers, kill, resumeWorkers, agg, want)
 				}
 			}
 		}
@@ -102,24 +135,27 @@ func TestMonteCarloKillAndResumeBitIdentical(t *testing.T) {
 }
 
 // TestCampaignKillAndResumeBitIdentical is the same acceptance property
-// for the campaign runner.
+// for the campaign grid.
 func TestCampaignKillAndResumeBitIdentical(t *testing.T) {
 	cfg := ckptCampaignConfig()
 	const trials = 4*campaignBlockSize + 7 // 5 blocks, last one ragged
 	const seed = 23
 	want := MonteCarloCampaign(cfg, trials, seed, 0)
+	jobs := CampaignJobs(nil, "", cfg, trials)
 
 	for _, workers := range []int{1, 4, 8} {
-		ck := newMemCkpt()
+		path := filepath.Join(t.TempDir(), "run.ckpt")
 		ctx, cancel := context.WithCancel(context.Background())
-		ck.cancelAfter, ck.cancel = 2, cancel
-		_, _ = MonteCarloCampaignCheckpointed(ctx, cfg, trials, seed, workers, ck)
+		_, _ = runSnapshotted(ctx, killAfter(jobs, 2, cancel), seed, workers, path, checkCampaign)
 		cancel()
 
-		ck.cancelAfter = 0
-		got, err := MonteCarloCampaignCheckpointed(context.Background(), cfg, trials, seed, workers, ck)
+		res, err := runSnapshotted(context.Background(), jobs, seed, workers, path, checkCampaign)
 		if err != nil {
 			t.Fatalf("resume: %v", err)
+		}
+		got, err := MergeCampaignPayloads(res.Payloads)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if got != want {
 			t.Errorf("workers=%d: resumed campaign aggregate differs:\n got %+v\nwant %+v", workers, got, want)
@@ -128,42 +164,58 @@ func TestCampaignKillAndResumeBitIdentical(t *testing.T) {
 }
 
 // TestCheckpointedCompleteRunMatchesPlain checks the zero-interruption
-// path: running with a checkpointer from scratch commits every block and
-// changes nothing about the result.
+// path: a snapshotted run from scratch computes every block, changes
+// nothing about the result, and removes its snapshot on completion.
 func TestCheckpointedCompleteRunMatchesPlain(t *testing.T) {
 	cfg := fig8Config(strategy.NewStatic(4))
 	const trials = 2*mcBlockSize + 10
-	ck := newMemCkpt()
-	got, err := MonteCarloCheckpointed(context.Background(), cfg, trials, 5, 0, ck)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	res, err := runSnapshotted(context.Background(), MonteCarloJobs(nil, "", cfg, trials, false), 5, 0, path, checkMC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MergeMonteCarloPayloads(res.Payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := MonteCarlo(cfg, trials, 5, 0); got != want {
-		t.Errorf("checkpointed run differs from plain run:\n got %+v\nwant %+v", got, want)
+		t.Errorf("snapshotted run differs from plain run:\n got %+v\nwant %+v", got, want)
 	}
-	if ck.done() != 3 {
-		t.Errorf("committed %d blocks, want 3", ck.done())
+	if res.Fresh != 3 {
+		t.Errorf("computed %d blocks, want 3", res.Fresh)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("snapshot left behind after a completed run (stat err = %v)", err)
 	}
 }
 
-// TestRestoreRejectsMalformedPayload checks that a payload of the wrong
-// shape aborts the run with a structured error instead of panicking or
-// silently producing wrong numbers.
+// TestRestoreRejectsMalformedPayload checks that a restored payload of
+// the wrong shape aborts the run with a structured error naming the
+// block, instead of panicking or silently producing wrong numbers.
 func TestRestoreRejectsMalformedPayload(t *testing.T) {
-	cfg := fig8Config(strategy.NewStatic(4))
-	ck := newMemCkpt()
-	ck.blocks[0] = []byte("not an aggregate")
-	_, err := MonteCarloCheckpointed(context.Background(), cfg, mcBlockSize*2, 5, 1, ck)
-	if err == nil || !strings.Contains(err.Error(), "block 0") {
-		t.Fatalf("malformed payload: err = %v, want block-0 decode error", err)
-	}
-
-	camp := ckptCampaignConfig()
-	ck2 := newMemCkpt()
-	ck2.blocks[1] = make([]byte, campaignPartialWireSize-1)
-	_, err = MonteCarloCampaignCheckpointed(context.Background(), camp, campaignBlockSize*2, 5, 1, ck2)
-	if err == nil || !strings.Contains(err.Error(), "block 1") {
-		t.Fatalf("malformed campaign payload: err = %v, want block-1 decode error", err)
+	for _, tc := range []struct {
+		name  string
+		jobs  []engine.Job
+		block int
+		bad   []byte
+		check func(int, []byte) error
+	}{
+		{"montecarlo", MonteCarloJobs(nil, "", fig8Config(strategy.NewStatic(4)), mcBlockSize*2, false), 0,
+			[]byte("not an aggregate"), checkMC},
+		{"campaign", CampaignJobs(nil, "", ckptCampaignConfig(), campaignBlockSize*2), 1,
+			make([]byte, campaignPartialWireSize-1), checkCampaign},
+	} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		st := ckpt.New(ckpt.KindJobs, 0, 5, int64(len(tc.jobs)), 1)
+		st.Blocks[tc.block] = tc.bad
+		if err := st.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err := runSnapshotted(context.Background(), tc.jobs, 5, 1, path, tc.check)
+		want := fmt.Sprintf("restoring job %d (block%d)", tc.block, tc.block)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: malformed payload: err = %v, want a block-%d restore error", tc.name, err, tc.block)
+		}
 	}
 }
 

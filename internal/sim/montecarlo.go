@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"reskit/internal/rng"
 	"reskit/internal/stats"
@@ -74,111 +73,47 @@ func Workers() int {
 // stream b, and block aggregates are merged in block order.
 const mcBlockSize = 2048
 
-// MonteCarlo runs `trials` independent reservations of cfg across
-// `workers` goroutines (Workers() when workers <= 0) and merges the
-// results. Trials are partitioned into fixed-size blocks, each drawing
-// from its own rng substream of seed, and block results are reduced in
-// deterministic order — the aggregate depends only on (cfg, trials,
-// seed), never on the worker count or goroutine scheduling.
+// cancelPoll is how many trials a block loop runs between checks of its
+// cancellation channel (a power of two). A non-blocking select before
+// every trial costs about a tenth of a cheap trial's time.
+const cancelPoll = 64
+
+// MonteCarlo runs `trials` independent reservations of cfg on the job
+// engine across `workers` goroutines (Workers() when workers <= 0) and
+// merges the results. Trials are partitioned into fixed-size blocks,
+// each drawing from its own rng substream of seed, and block results
+// are reduced in deterministic order — the aggregate depends only on
+// (cfg, trials, seed), never on the worker count or goroutine
+// scheduling.
 func MonteCarlo(cfg Config, trials int, seed uint64, workers int) Aggregate {
-	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, Run, nil)
+	agg, _ := MonteCarloContext(context.Background(), cfg, trials, seed, workers)
 	return agg
 }
 
 // MonteCarloContext is MonteCarlo with cooperative cancellation: when ctx
-// is cancelled (or its deadline passes), workers stop at the next trial
-// boundary and the call returns the well-formed aggregate of every
-// completed trial alongside ctx.Err(). Without cancellation the result
-// is bit-identical to MonteCarlo and the error is nil.
+// is cancelled (or its deadline passes), workers stop within a few dozen
+// trials, the interrupted blocks are discarded whole, and the call
+// returns the well-formed aggregate of every completed block alongside
+// ctx.Err(). Without cancellation the result is bit-identical to
+// MonteCarlo and the error is nil.
 func MonteCarloContext(ctx context.Context, cfg Config, trials int, seed uint64, workers int) (Aggregate, error) {
-	return monteCarloRunner(ctx, cfg, trials, seed, workers, Run, nil)
+	cfg.validate()
+	return runBlocks(ctx, MonteCarloJobs(nil, "", cfg, trials, false), seed, workers, MergeMonteCarloPayloads)
 }
 
 // MonteCarloOracle is MonteCarlo with the clairvoyant scheduler.
 func MonteCarloOracle(cfg Config, trials int, seed uint64, workers int) Aggregate {
-	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, RunOracle, nil)
-	return agg
-}
-
-func monteCarloRunner(ctx context.Context, cfg Config, trials int, seed uint64, workers int,
-	run func(Config, *rng.Source) RunResult, ck Checkpointer) (Aggregate, error) {
-
 	cfg.validate()
-	if trials <= 0 {
-		return Aggregate{}, ctx.Err()
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-
-	numBlocks := (trials + mcBlockSize - 1) / mcBlockSize
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	done := ctx.Done()
-	parts := make([]Aggregate, numBlocks)
-	// Blocks persisted by a previous interrupted run are restored into
-	// parts and never dispatched; only the missing blocks are simulated.
-	restored, rerr := restoreBlocks(ck, numBlocks, func(b int, data []byte) error {
-		return decodeAggregate(data, &parts[b])
-	})
-	if rerr != nil {
-		return Aggregate{}, rerr
-	}
-	blocks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One Source per worker, reinitialized per block: the state
-			// is identical to a fresh NewStream, without the per-block
-			// allocation.
-			var src rng.Source
-			for b := range blocks {
-				src.Reinit(seed, uint64(b))
-				agg, complete := runMCBlock(cfg, trials, b, &src, run, done)
-				parts[b] = agg
-				if !complete {
-					// The block is incomplete: its partial tallies stay in
-					// the returned aggregate but are never committed — a
-					// resume re-runs it from scratch.
-					return
-				}
-				if ck != nil {
-					ck.Commit(b, encodeAggregate(&parts[b]))
-				}
-				cfg.Obs.tickBlock()
-			}
-		}()
-	}
-dispatch:
-	for b := 0; b < numBlocks; b++ {
-		if restored != nil && restored[b] {
-			continue
-		}
-		select {
-		case blocks <- b:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(blocks)
-	wg.Wait()
-
-	var total Aggregate
-	for _, p := range parts {
-		total.merge(p)
-	}
-	return total, ctx.Err()
+	agg, _ := runBlocks(context.Background(), MonteCarloJobs(nil, "", cfg, trials, true), seed, workers, MergeMonteCarloPayloads)
+	return agg
 }
 
 // runMCBlock simulates the trials of block b ([b*mcBlockSize, ...)) on
 // src and returns the block aggregate. cfg is received by value, so the
 // per-trial index stamp for deterministic trace sampling never races
-// other workers. complete is false when done fired mid-block — the
-// partial tallies are still returned, but such a block must never be
-// committed as durable state.
+// other workers. complete is false when done fired mid-block; such a
+// block must never be committed as durable state. done is polled every
+// cancelPoll trials, not before each one.
 func runMCBlock(cfg Config, trials, b int, src *rng.Source,
 	run func(Config, *rng.Source) RunResult, done <-chan struct{}) (agg Aggregate, complete bool) {
 
@@ -189,7 +124,7 @@ func runMCBlock(cfg Config, trials, b int, src *rng.Source,
 	}
 	tracing := cfg.Obs != nil && cfg.Obs.Trace != nil
 	for i := lo; i < hi; i++ {
-		if done != nil {
+		if (i-lo)&(cancelPoll-1) == 0 {
 			select {
 			case <-done:
 				return agg, false

@@ -210,21 +210,22 @@ func cancelAfterRuns(n int64, cancel context.CancelFunc) (*Observer, func() time
 }
 
 func TestMonteCarloCancellationMergesOnlyCompletedTrials(t *testing.T) {
-	// The cancellation contract: the aggregate covers exactly the trials
-	// that completed — every per-metric summary holds one sample per
-	// accounted trial, never a partial or duplicated one. The cancel
-	// fires once a block's worth of trials has ended, and a trial that
-	// ended is always accounted, so the partial holds at least that many.
+	// The cancellation contract: blocks are all-or-nothing, so the
+	// aggregate covers exactly the completed blocks — every per-metric
+	// summary holds one sample per accounted trial, never a partial or
+	// duplicated one. With one worker the cancel fires on the last trial
+	// of block 0, which completes; block 1 is interrupted at its first
+	// poll and discarded, so exactly one block is accounted.
 	cfg := fig8Config(strategy.NewWorkThreshold(20))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Obs, _ = cancelAfterRuns(mcBlockSize, cancel)
-	agg, err := MonteCarloContext(ctx, cfg, 50_000_000, 41, 0)
+	agg, err := MonteCarloContext(ctx, cfg, 50_000_000, 41, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if agg.Trials < mcBlockSize || agg.Trials >= 50_000_000 {
-		t.Fatalf("cancellation accounted %d trials; want a mid-campaign partial of at least %d", agg.Trials, mcBlockSize)
+	if agg.Trials != mcBlockSize {
+		t.Fatalf("cancellation accounted %d trials; want exactly one block of %d", agg.Trials, mcBlockSize)
 	}
 	for _, s := range []struct {
 		name string

@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
+	"context"
 
 	"reskit/internal/core"
 	"reskit/internal/rng"
@@ -37,11 +36,13 @@ func RunPreemptibleOnce(p *core.Preemptible, x float64, r *rng.Source) float64 {
 	return 0
 }
 
-// MonteCarloPreemptible estimates E(W(X)) by simulation: `trials`
-// independent reservations with the checkpoint started x before the end,
-// split across `workers` parallel substreams of seed.
+// MonteCarloPreemptible estimates E(W(X)) by simulation on the job
+// engine: `trials` independent reservations with the checkpoint started
+// x before the end, in fixed blocks on rng substreams of seed, across
+// `workers` goroutines.
 func MonteCarloPreemptible(p *core.Preemptible, x float64, trials int, seed uint64, workers int) PreemptibleAggregate {
-	return preemptibleRunner(trials, seed, workers, preemptTrial(p, x, false))
+	agg, _ := runBlocks(context.Background(), PreemptibleJobs(nil, "", p, x, false, trials), seed, workers, MergePreemptiblePayloads)
+	return agg
 }
 
 // MonteCarloPreemptibleOracle simulates the clairvoyant policy that
@@ -49,7 +50,8 @@ func MonteCarloPreemptible(p *core.Preemptible, x float64, trials int, seed uint
 // exactly C seconds before the end, saving R - C every time. It is the
 // per-trial upper bound on any X policy.
 func MonteCarloPreemptibleOracle(p *core.Preemptible, trials int, seed uint64, workers int) PreemptibleAggregate {
-	return preemptibleRunner(trials, seed, workers, preemptTrial(p, 0, true))
+	agg, _ := runBlocks(context.Background(), PreemptibleJobs(nil, "", p, 0, true, trials), seed, workers, MergePreemptiblePayloads)
+	return agg
 }
 
 // preemptPartial accumulates one block's preemptible-trial sums.
@@ -83,7 +85,8 @@ func preemptTrial(p *core.Preemptible, x float64, oracle bool) func(*rng.Source)
 
 // runPreemptBlock simulates the trials of block b ([b*mcBlockSize, ...))
 // on src. complete is false when done fired mid-block; such a block must
-// never be committed as durable state.
+// never be committed as durable state. done is polled every cancelPoll
+// trials.
 func runPreemptBlock(trial func(*rng.Source) (float64, bool), trials, b int,
 	src *rng.Source, done <-chan struct{}) (p preemptPartial, complete bool) {
 
@@ -93,7 +96,7 @@ func runPreemptBlock(trial func(*rng.Source) (float64, bool), trials, b int,
 		hi = trials
 	}
 	for i := lo; i < hi; i++ {
-		if done != nil {
+		if (i-lo)&(cancelPoll-1) == 0 {
 			select {
 			case <-done:
 				return p, false
@@ -108,51 +111,4 @@ func runPreemptBlock(trial func(*rng.Source) (float64, bool), trials, b int,
 		p.trials++
 	}
 	return p, true
-}
-
-func preemptibleRunner(trials int, seed uint64, workers int,
-	trial func(*rng.Source) (float64, bool)) PreemptibleAggregate {
-
-	if trials <= 0 {
-		return PreemptibleAggregate{}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Fixed-size blocks, one rng substream per block: the aggregate is
-	// independent of the worker count (see MonteCarlo).
-	numBlocks := (trials + mcBlockSize - 1) / mcBlockSize
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	parts := make([]preemptPartial, numBlocks)
-	blocks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One Source per worker, reinitialized per block — state
-			// identical to a fresh NewStream, with no per-block
-			// allocation.
-			var src rng.Source
-			for b := range blocks {
-				src.Reinit(seed, uint64(b))
-				parts[b], _ = runPreemptBlock(trial, trials, b, &src, nil)
-			}
-		}()
-	}
-	for b := 0; b < numBlocks; b++ {
-		blocks <- b
-	}
-	close(blocks)
-	wg.Wait()
-
-	var agg PreemptibleAggregate
-	for _, p := range parts {
-		agg.Work.Merge(p.work)
-		agg.Successes += p.successes
-		agg.Trials += p.trials
-	}
-	return agg
 }

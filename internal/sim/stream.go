@@ -12,7 +12,7 @@ import (
 
 // Streaming campaigns: instead of a fixed trial grid, the campaign runs
 // as an open-ended stream of full blocks — block b always simulates
-// trials [b*CampaignBlockSize, (b+1)*CampaignBlockSize) on rng
+// trials [b*campaignBlockSize, (b+1)*campaignBlockSize) on rng
 // substream b, exactly as the fixed grid would — drained by
 // engine.RunStream until a sequential stopping rule (stats.StopSpec)
 // fires or a trial budget runs out. Each block payload carries, besides

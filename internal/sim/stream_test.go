@@ -307,6 +307,11 @@ func TestFaultSweepConfigs(t *testing.T) {
 
 func TestFaultSweepJobName(t *testing.T) {
 	mtbfs := []float64{30, 60}
+	cfg := faultyCampaignConfig(nil)
+	jobs := FaultSweepJobs(mtbfs, []CampaignConfig{cfg, cfg}, 5*campaignBlockSize)
+	if len(jobs) != 10 {
+		t.Fatalf("grid has %d jobs, want 10", len(jobs))
+	}
 	cases := []struct {
 		i    int
 		want string
@@ -317,7 +322,7 @@ func TestFaultSweepJobName(t *testing.T) {
 		{9, "mtbf=60/block4"},
 	}
 	for _, tc := range cases {
-		if got := FaultSweepJobName(mtbfs, 5, tc.i); got != tc.want {
+		if got := jobs[tc.i].Name; got != tc.want {
 			t.Errorf("job %d = %q, want %q", tc.i, got, tc.want)
 		}
 	}

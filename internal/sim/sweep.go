@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"reskit/internal/engine"
 	"reskit/internal/fault"
 )
 
@@ -57,9 +58,14 @@ func FaultSweepConfigs(cfg CampaignConfig, sweep string) ([]float64, []CampaignC
 	return mtbfs, cfgs, nil
 }
 
-// FaultSweepJobName renders the canonical name of sweep job i — row-major
-// over (MTBF row, block) — shared by both CLIs so ledgers, leases and
-// logs agree on what job i is.
-func FaultSweepJobName(mtbfs []float64, numBlocks, i int) string {
-	return fmt.Sprintf("mtbf=%g/block%d", mtbfs[i/numBlocks], i%numBlocks)
+// FaultSweepJobs lays the sweep out as one engine job grid, row-major
+// over (MTBF row, block): job i simulates block i%numBlocks of row
+// i/numBlocks and is named "mtbf=<m>/block<b>". Both CLIs build the grid
+// here, so ledgers, leases and logs agree on what job i is.
+func FaultSweepJobs(mtbfs []float64, cfgs []CampaignConfig, trials int) []engine.Job {
+	var jobs []engine.Job
+	for ri, m := range mtbfs {
+		jobs = CampaignJobs(jobs, fmt.Sprintf("mtbf=%g/", m), cfgs[ri], trials)
+	}
+	return jobs
 }
