@@ -167,7 +167,7 @@ func run(args []string, out io.Writer) (err error) {
 	// grid of simulate's -faultsweep, so job i means the same work on
 	// both sides. An empty sweep is a single implicit row — the plain
 	// campaign.
-	grid := sweepGrid{trials: *trials, numBlocks: sim.NumCampaignBlocks(*trials)}
+	grid := sweepGrid{trials: *trials}
 	if *faultSweep != "" {
 		var cfgs []reskit.CampaignConfig
 		if grid.mtbfs, cfgs, err = sim.FaultSweepConfigs(cfg, *faultSweep); err != nil {
@@ -177,7 +177,6 @@ func run(args []string, out io.Writer) (err error) {
 	} else {
 		grid.jobs = sim.CampaignJobs(nil, "", cfg, *trials)
 	}
-	numJobs := len(grid.jobs)
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -188,7 +187,7 @@ func run(args []string, out io.Writer) (err error) {
 	}()
 
 	if *workerURL != "" {
-		return runWorker(sigCtx, out, *workerURL, *name, grid, numJobs, *seed, fp,
+		return runWorker(sigCtx, out, *workerURL, *name, grid.jobs, *seed, fp,
 			engine.Failure{Retries: *retries, Backoff: *retryBackoff, JobTimeout: *jobTimeout}, *workers)
 	}
 	return runCoordinator(sigCtx, out, coordinatorOpts{
@@ -197,7 +196,7 @@ func run(args []string, out io.Writer) (err error) {
 		keepGoing:   *keepGoing,
 		jobAttempts: *jobAttempts,
 		leaseTTL:    *leaseTTL, targetLease: *targetLease, minLease: *minLease, maxLease: *maxLease,
-	}, grid, numJobs, *seed, fp)
+	}, grid, *seed, fp)
 }
 
 // sweepGrid is the job grid both distrun roles share: the campaign rows
@@ -206,14 +205,10 @@ func run(args []string, out io.Writer) (err error) {
 // simulate's -campaign/-faultsweep grids — the identical names,
 // streams and payload functions.
 type sweepGrid struct {
-	jobs      []engine.Job
-	mtbfs     []float64 // nil for a plain campaign
-	trials    int
-	numBlocks int
+	jobs   []engine.Job
+	mtbfs  []float64 // nil for a plain campaign
+	trials int
 }
-
-func (g sweepGrid) job(i int) engine.Job { return g.jobs[i] }
-func (g sweepGrid) jobName(i int) string { return g.jobs[i].Name }
 
 // buildCampaign assembles the campaign exactly as simulate's campaign
 // mode does, so the job payloads are the same pure functions.
@@ -269,8 +264,9 @@ type coordinatorOpts struct {
 // runCoordinator serves the ledger until the run resolves, then prints
 // the merged aggregate (complete runs) or the partial verdict.
 func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
-	grid sweepGrid, numJobs int, seed, fp uint64) error {
+	grid sweepGrid, seed, fp uint64) error {
 
+	numJobs := len(grid.jobs)
 	reg := obs.NewRegistry()
 	progress := obs.NewProgress(os.Stderr, "jobs", int64(numJobs), time.Second)
 	co, err := distrun.NewCoordinator(distrun.CoordinatorConfig{
@@ -279,7 +275,7 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 		Fingerprint: fp,
 		Checkpoint:  opts.checkpoint,
 		Check:       func(_ int, data []byte) error { return sim.CheckCampaignPayload(data) },
-		JobName:     grid.jobName,
+		JobName:     func(i int) string { return grid.jobs[i].Name },
 		JobAttempts: opts.jobAttempts,
 		KeepGoing:   opts.keepGoing,
 		LeaseTTL:    opts.leaseTTL,
@@ -338,8 +334,9 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 			// The same per-row trade-off table simulate's -faultsweep
 			// prints, merged row by row from the row-major payload grid.
 			fmt.Fprintf(tw, "MTBF\tE(lost)\tE(util)\tE(res)\tE(crashes)\tcompletion\n")
+			rowLen := numJobs / len(grid.mtbfs)
 			for ri, m := range grid.mtbfs {
-				agg, merr := sim.MergeCampaignPayloads(res.Payloads[ri*grid.numBlocks : (ri+1)*grid.numBlocks])
+				agg, merr := sim.MergeCampaignPayloads(res.Payloads[ri*rowLen : (ri+1)*rowLen])
 				if merr != nil {
 					return merr
 				}
@@ -394,16 +391,16 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 
 // runWorker joins the coordinator at url and executes leases until the
 // run is over.
-func runWorker(ctx context.Context, out io.Writer, url, name string, grid sweepGrid,
-	numJobs int, seed, fp uint64, failure engine.Failure, workers int) error {
+func runWorker(ctx context.Context, out io.Writer, url, name string, jobs []engine.Job,
+	seed, fp uint64, failure engine.Failure, workers int) error {
 
 	err := distrun.RunWorker(ctx, distrun.WorkerConfig{
 		URL:         url,
 		Name:        name,
-		NumJobs:     numJobs,
+		NumJobs:     len(jobs),
 		Seed:        seed,
 		Fingerprint: fp,
-		Job:         grid.job,
+		Job:         func(i int) engine.Job { return jobs[i] },
 		Failure:     failure,
 		Workers:     workers,
 		Log:         out,

@@ -25,8 +25,8 @@ var campaignArgs = []string{
 	"-totalwork", "120", "-trials", "1280", "-seed", "7",
 }
 
-// campaignGrid builds the job grid of campaignArgs, as the CLI does.
-func campaignGrid(t *testing.T) sweepGrid {
+// campaignJobs builds the job grid of campaignArgs, as the CLI does.
+func campaignJobs(t *testing.T) []engine.Job {
 	t.Helper()
 	law, err := lawspec.Parse("uniform:1,3")
 	if err != nil {
@@ -36,15 +36,14 @@ func campaignGrid(t *testing.T) sweepGrid {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const trials = 1280
-	return sweepGrid{jobs: sim.CampaignJobs(nil, "", cfg, trials), trials: trials, numBlocks: sim.NumCampaignBlocks(trials)}
+	return sim.CampaignJobs(nil, "", cfg, 1280)
 }
 
 // localAggregate computes the reference aggregate through the local
 // engine, exactly as simulate's campaign mode would.
 func localAggregate(t *testing.T) sim.CampaignAggregate {
 	t.Helper()
-	res, err := engine.Run(context.Background(), engine.Spec{Jobs: campaignGrid(t).jobs, Seed: 7})
+	res, err := engine.Run(context.Background(), engine.Spec{Jobs: campaignJobs(t), Seed: 7})
 	if err != nil {
 		t.Fatalf("local reference: %v", err)
 	}
@@ -234,11 +233,11 @@ func TestDistrunFlagValidation(t *testing.T) {
 func TestDistrunRejectsWorkerOfOtherSamplerVersion(t *testing.T) {
 	addr, coOut, coErr := startCoordinator(t, campaignArgs...)
 
-	grid := campaignGrid(t)
+	jobs := campaignJobs(t)
 	parts := []string{"campaign", "R=60", "recovery=0", "task=exp:0.05", "taskdisc=",
 		"ckpt=uniform:1,3", "totalwork=120", "faults=no faults", "trials=1280", "seed=7"}
 	worker := func(name string, fp uint64) error {
-		return runWorker(context.Background(), &bytes.Buffer{}, "http://"+addr, name, grid, grid.numBlocks, 7, fp,
+		return runWorker(context.Background(), &bytes.Buffer{}, "http://"+addr, name, jobs, 7, fp,
 			engine.Failure{}, 2)
 	}
 

@@ -103,12 +103,11 @@ func TestMonteCarloKillAndResumeBitIdentical(t *testing.T) {
 			res, err := runSnapshotted(ctx, killAfter(jobs, kill, cancel), seed, workers, path, checkMC)
 			cancel()
 			if res.Done() == len(jobs) {
-				// The whole run finished before the cancel landed; the
-				// resume below still must reproduce the reference.
+				// The whole run finished before the cancel landed. The
+				// cancel still keeps the snapshot, so the resume below
+				// restores every block and must reproduce the reference.
 				t.Logf("workers=%d kill=%d: run completed before interruption", workers, kill)
-				continue
-			}
-			if err == nil {
+			} else if err == nil {
 				t.Fatalf("workers=%d kill=%d: interrupted run reported no error with %d blocks", workers, kill, res.Done())
 			}
 
